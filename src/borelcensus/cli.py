@@ -3,8 +3,8 @@
 Every invocation builds one envelope {command, inputs, result, errata,
 version}; --json prints it as a single JSON object (big counts as decimal
 strings), --output writes it to a file, and plain mode renders a human
-summary.  Exit codes: 0 success, 1 domain error, 2 usage error, 3
-indeterminate numerical result.
+summary.  Exit codes: 0 success, 1 domain error or an unwritable --output
+file, 2 usage error, 3 indeterminate numerical result.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .flags import (
 )
 from .invverify import verify_pair
 from .lieverify import DEFAULT_TOL, closure, block_algebra, transitive_on
-from ._accel import BACKEND
 from .pairs import (
     Agreement,
     decompose,
@@ -329,7 +328,6 @@ def _cmd_verify_lie(tokens):
     ]
     inputs = {"left": list(p1.parts), "right": list(p2.parts), "tol": tol}
     result = {
-        "backend": BACKEND,
         "closure_dimension": c.dimension,
         "predicted_lie_dimension": group.lie_dimension,
         "dimensions_match": c.dimension == group.lie_dimension,
@@ -498,8 +496,12 @@ def run(argv, stdout=None, stderr=None) -> int:
         }
         text = json.dumps(envelope, sort_keys=True, separators=(",", ":"))
         if output:
-            with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+            try:
+                with open(output, "w", encoding="utf-8") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:
+                print(f"error: cannot write {output}: {exc.strerror or exc}", file=err)
+                return 1
         if json_mode:
             print(text, file=out)
         else:

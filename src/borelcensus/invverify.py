@@ -16,8 +16,9 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .errors import DomainError, IndeterminateError, NumericalError
+from .errors import DomainError, NumericalError
 from .flags import SignRep, nontrivial_factors, profile
+from .lieverify import _rank
 from .pairs import decompose, first_window_with_involution, _window_swap
 from .partitions import Partition
 
@@ -269,52 +270,42 @@ def swap_antisymmetric_space(p: Partition, block_a: int, block_b: int, d: int) -
     return PolySubspace(n=p.n, degree_cap=d, basis=tuple(basis), dim=len(basis))
 
 
-def _coefficient_rows(bases):
-    mons = sorted({e for basis in bases for poly in basis for e in poly})
+def _coefficient_rows(polys):
+    """One unit-norm row of monomial coefficients per polynomial."""
+    mons = sorted({e for poly in polys for e in poly})
     index = {e: i for i, e in enumerate(mons)}
-    mats = []
-    for basis in bases:
-        rows = np.zeros((len(basis), len(mons)))
-        for i, poly in enumerate(basis):
-            for e, val in poly.items():
-                rows[i, index[e]] = val
-        norms = np.linalg.norm(rows, axis=1)
-        if np.any(norms == 0):
-            raise NumericalError("zero polynomial in a subspace basis")
-        mats.append(rows / norms[:, None])
-    return mats
+    rows = np.zeros((len(polys), len(mons)))
+    for i, poly in enumerate(polys):
+        for e, val in poly.items():
+            rows[i, index[e]] = val
+    norms = np.linalg.norm(rows, axis=1)
+    if np.any(norms == 0):
+        raise NumericalError("zero polynomial in a subspace basis")
+    rows /= norms[:, None]
+    return rows
 
 
-def _rank(mat, rank_tol):
-    if mat.shape[0] == 0:
+def _intersection(s1, s2, rank_tol):
+    """(dim of the intersection, smallest kept, largest dropped singular value)."""
+    if s1.dim == 0 or s2.dim == 0:
         return 0, 0.0, 0.0
-    sv = np.linalg.svd(mat, compute_uv=False)
-    in_band = (sv >= rank_tol / 10.0) & (sv <= rank_tol)
-    if np.any(in_band):
-        raise IndeterminateError(
-            f"singular value {sv[in_band][0]:.3e} falls inside the ambiguity band "
-            f"[{rank_tol / 10.0:.1e}, {rank_tol:.1e}]"
-        )
-    kept = sv[sv > rank_tol]
-    dropped = sv[sv < rank_tol / 10.0]
-    return len(kept), (float(kept.min()) if kept.size else 0.0), (
-        float(dropped.max()) if dropped.size else 0.0
-    )
+    rows = _coefficient_rows([*s1.basis, *s2.basis])
+    # rows^T = QR with orthonormal columns in Q, so each side and the stack
+    # have the singular values of their columns of the small R
+    r = np.linalg.qr(rows.T, mode="r")
+    for cols, space in ((r[:, : s1.dim], s1), (r[:, s1.dim :], s2)):
+        rank = _rank(cols, rank_tol)[0]
+        if rank != space.dim:
+            raise NumericalError(f"subspace basis is rank-deficient: {rank} < {space.dim}")
+    rank, kept_min, dropped_max = _rank(r, rank_tol)
+    return s1.dim + s2.dim - rank, kept_min, dropped_max
 
 
 def intersection_dim(s1: PolySubspace, s2: PolySubspace, rank_tol: float = RANK_TOL) -> int:
     """dim(U and W) = dim U + dim W - rank [U; W] over the shared monomials."""
     if s1.n != s2.n or s1.degree_cap != s2.degree_cap:
         raise DomainError("subspaces must share the variable count and degree cap")
-    if s1.dim == 0 or s2.dim == 0:
-        return 0
-    m1, m2 = _coefficient_rows([s1.basis, s2.basis])
-    for mat, space in ((m1, s1), (m2, s2)):
-        rank, _, _ = _rank(mat, rank_tol)
-        if rank != space.dim:
-            raise NumericalError(f"subspace basis is rank-deficient: {rank} < {space.dim}")
-    rank, _, _ = _rank(np.vstack([m1, m2]), rank_tol)
-    return s1.dim + s2.dim - rank
+    return _intersection(s1, s2, rank_tol)[0]
 
 
 def invariant_dim_by_derivations(p: Partition, d: int) -> int:
@@ -362,8 +353,7 @@ def invariant_dim_by_derivations(p: Partition, d: int) -> int:
                 target[a] -= 1
                 target[b] += 1
                 ops[base + index[tuple(target)], col] -= e[a]
-    sv = np.linalg.svd(ops, compute_uv=False)
-    return len(mons) - int(np.sum(sv > RANK_TOL))
+    return len(mons) - _rank(ops, RANK_TOL)[0]
 
 
 def _first_equal_pair(p):
@@ -415,12 +405,7 @@ def verify_pair(p1: Partition, p2: Partition, degree: int = 6) -> IndependenceRe
     s1 = _side_space(p1, swaps[0], degree)
     s2 = _side_space(p2, swaps[1], degree)
 
-    if s1.dim == 0 or s2.dim == 0:
-        inter, kept_min, dropped_max = 0, 0.0, 0.0
-    else:
-        m1, m2 = _coefficient_rows([s1.basis, s2.basis])
-        rank, kept_min, dropped_max = _rank(np.vstack([m1, m2]), RANK_TOL)
-        inter = s1.dim + s2.dim - rank
+    inter, kept_min, dropped_max = _intersection(s1, s2, RANK_TOL)
 
     return IndependenceReport(
         p1=p1,

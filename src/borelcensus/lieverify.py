@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import BACKEND, closure_kernel
 from .errors import DomainError, IndeterminateError, NumericalError, ProbeDisagreementError
 from .flags import InvolutionSpec, borel_descriptor
 from .partitions import Partition
@@ -34,7 +33,8 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 DEFAULT_RANK_TOL = 1e-8
 _PROBE_SEED = 62831853  # fixed so every run draws the same test vector
-_SKEW_TOL = 1e-12
+_SKEW_TOL = 1e-12  # also the smallest closure tol: float noise sits near 1e-16
+_BATCH_FLOATS = 1 << 16  # brackets formed per matmul, in floats; bounds peak memory
 
 
 @dataclass(frozen=True)
@@ -80,37 +80,101 @@ def _check_skew(elements, tol):
         raise DomainError(f"input matrices are not skew-symmetric (residual {worst:.2e})")
 
 
+def _check_band(values, tol, what):
+    """Refuse to decide when a value sits inside the ambiguity band [tol/10, tol]."""
+    in_band = (values >= tol / 10.0) & (values <= tol)
+    if np.any(in_band):
+        raise IndeterminateError(
+            f"{what} {values[in_band][0]:.3e} falls inside the ambiguity band "
+            f"[{tol / 10.0:.1e}, {tol:.1e}]"
+        )
+
+
+def _rank(mat, rank_tol):
+    """Numerical rank of mat, its smallest kept and its largest dropped singular value.
+
+    Singular values above rank_tol count, those below rank_tol/10 do not,
+    and one in between raises IndeterminateError.
+    """
+    if mat.size == 0:
+        return 0, 0.0, 0.0
+    sv = np.linalg.svd(mat, compute_uv=False)
+    _check_band(sv, rank_tol, "singular value")
+    kept = sv[sv > rank_tol]
+    dropped = sv[sv < rank_tol / 10.0]
+    return len(kept), (float(kept.min()) if kept.size else 0.0), (
+        float(dropped.max()) if dropped.size else 0.0
+    )
+
+
+def _project_out(rows, basis, tol):
+    """Project rows twice out of span(basis); drop rows left below tol/10.
+
+    A projection never lengthens a row, so a dropped row could never have
+    been accepted later.
+    """
+    for _ in range(2):
+        if len(basis):
+            rows = rows - (rows @ basis.T) @ basis
+        rows = rows[np.linalg.norm(rows, axis=1) >= tol / 10.0]
+    return rows
+
+
+def _accept(basis, m, batch, tol):
+    """Append the new directions of batch to basis[:m]; return the new count.
+
+    Pivoted Gram-Schmidt: after projecting the batch out of the basis,
+    the row with the largest residual joins it while that residual
+    exceeds tol, and the remaining rows are projected out of it.
+    """
+    rows = _project_out(batch, basis[:m], tol)
+    while len(rows):
+        norms = np.linalg.norm(rows, axis=1)
+        i = int(np.argmax(norms))
+        _check_band(norms[i : i + 1], tol, "closure residual")
+        if m == basis.shape[0]:
+            raise NumericalError(
+                f"bracket closure exceeds so(n), dimension {m}: residual {norms[i]:.3e} "
+                "would be accepted"
+            )
+        basis[m] = rows[i] / norms[i]
+        rows = _project_out(np.delete(rows, i, axis=0), basis[m : m + 1], tol)
+        m += 1
+    return m
+
+
 def closure(b1: SkewBasis, b2: SkewBasis, tol: float = DEFAULT_TOL) -> LieClosure:
-    """Close the union of two skew bases under commutators."""
+    """Close the union of two skew bases under commutators.
+
+    The orthonormalized union G seeds the basis.  Each round brackets only
+    the previous round's new elements against G, since left-normed
+    brackets of G span the generated algebra, and accepts the new
+    directions.  A residual inside [tol/10, tol] raises IndeterminateError.
+    """
     if b1.n != b2.n:
         raise DomainError(f"bases live in different dimensions: {b1.n} vs {b2.n}")
-    if not tol > 0:
-        raise DomainError("tol must be positive")
+    if not tol >= _SKEW_TOL:
+        raise DomainError(f"tol must be at least {_SKEW_TOL:.0e}, got {tol!r}")
     n = b1.n
-    _check_skew(b1.elements, max(tol, _SKEW_TOL))
-    _check_skew(b2.elements, max(tol, _SKEW_TOL))
-    gens = np.ascontiguousarray(
-        np.concatenate([b1.elements, b2.elements]).reshape(-1, n * n), dtype=np.float64
-    )
-    max_rounds = 10 * (n * (n - 1) // 2)
-    storage, dim, rounds = closure_kernel(gens, n, tol, max_rounds)
-    if dim < 0:
-        raise NumericalError(f"bracket closure did not converge in {max_rounds} rounds")
-    basis = SkewBasis(n=n, elements=storage[:dim].reshape(dim, n, n).copy())
-    return LieClosure(basis=basis, dimension=dim, iterations=rounds, tol=tol)
-
-
-def _tangent_rank(elements, x, window, rank_tol):
-    lo, hi = window
-    tangent = elements @ x  # one row of velocities per basis element
-    sv = np.linalg.svd(tangent[:, lo:hi], compute_uv=False)
-    ambiguous = (sv >= rank_tol / 10.0) & (sv <= rank_tol)
-    if np.any(ambiguous):
-        raise IndeterminateError(
-            f"singular value {sv[ambiguous][0]:.3e} falls inside the ambiguity band "
-            f"[{rank_tol / 10.0:.1e}, {rank_tol:.1e}]"
-        )
-    return int(np.sum(sv > rank_tol))
+    _check_skew(b1.elements, tol)
+    _check_skew(b2.elements, tol)
+    basis = np.zeros((n * (n - 1) // 2, n * n))
+    gens = np.concatenate([b1.elements, b2.elements]).reshape(-1, n * n)
+    m = _accept(basis, 0, gens, tol)
+    g = basis[:m].reshape(m, n, n)
+    lo, rounds = 0, 0
+    while lo < m:
+        rounds += 1
+        frontier = basis[lo:m].reshape(-1, 1, n, n)
+        step = max(1, _BATCH_FLOATS // (len(frontier) * n * n))
+        lo = m
+        for start in range(0, len(g), step):
+            xy = frontier @ g[start : start + step]
+            # for skew x and y, yx is the transpose of xy
+            brackets = xy - np.swapaxes(xy, -1, -2)
+            m = _accept(basis, m, brackets.reshape(-1, n * n), tol)
+    basis = SkewBasis(n=n, elements=basis[:m].reshape(m, n, n).copy())
+    return LieClosure(basis=basis, dimension=m, iterations=rounds, tol=tol)
 
 
 def transitive_on(c: LieClosure, window, rank_tol: float = DEFAULT_RANK_TOL) -> bool:
@@ -143,7 +207,8 @@ def transitive_on(c: LieClosure, window, rank_tol: float = DEFAULT_RANK_TOL) -> 
     x2 = np.zeros(n)
     x2[lo:hi] = v / np.linalg.norm(v)
 
-    verdicts = [_tangent_rank(elements, x, window, rank_tol) == dim - 1 for x in (x1, x2)]
+    # elements @ x holds one row of velocities per basis element
+    verdicts = [_rank((elements @ x)[:, lo:hi], rank_tol)[0] == dim - 1 for x in (x1, x2)]
     if verdicts[0] != verdicts[1]:
         raise ProbeDisagreementError(
             f"tangent-rank probes disagree on window {window}: {verdicts}"

@@ -1,17 +1,18 @@
 """Exact integer-partition counting and enumeration.
 
 Counts are exact big integers: P(n) via the Euler pentagonal recurrence,
-Q(n) (distinct parts) via dynamic programming, R(n) = P(n) - Q(n), and the
-parts>=2 variants P(n;1), Q(n;1), R(n;1) via the subtraction and alternating
-recurrences.  A naive recursive enumerator backs everything as an
-independent oracle, and the Hardy-Littlewood leading terms give the
-asymptotic cross-check.
+Q(n) (distinct parts) from the P table by the same theorem, R(n) = P(n) -
+Q(n), and the parts>=2 variants P(n;1), Q(n;1), R(n;1) via the subtraction
+and alternating recurrences.  A naive recursive enumerator backs
+everything as an independent oracle, and the Hardy-Littlewood leading
+terms give the asymptotic cross-check.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -93,43 +94,51 @@ class PartitionCounts:
 # are safe without one.
 _lock = threading.Lock()
 _p_table = [1]  # P(k), k >= 0, P(0) = 1 seeds the recurrence
-_q_state = {"limit": 0, "table": [1]}  # Q(k) for k <= limit
+_q_table = [1]  # Q(k), k >= 0, derived from _p_table
+
+
+def _pentagonals(limit):
+    """Pentagonal pairs k(3k-1)/2, k(3k+1)/2 for k = 1, 2, ... while the first <= limit."""
+    out = []
+    k = 1
+    while k * (3 * k - 1) // 2 <= limit:
+        out += (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
+        k += 1
+    return out
+
+
+def _signed_sum(t, m, offsets):
+    """t[m-o1] + t[m-o2] - t[m-o3] - t[m-o4] + ... over the sorted offsets <= m."""
+    vals = [t[m - o] for o in offsets[: bisect_right(offsets, m)]]
+    return sum(vals[0::4]) + sum(vals[1::4]) - sum(vals[2::4]) - sum(vals[3::4])
 
 
 def _p_upto(n):
     with _lock:
         t = _p_table
-        while len(t) <= n:
-            m = len(t)
-            acc = 0
-            k = 1
-            while True:
-                g = k * (3 * k - 1) // 2
-                if g > m:
-                    break
-                term = t[m - g]
-                h = g + k  # second pentagonal number k(3k+1)/2
-                if h <= m:
-                    term += t[m - h]
-                acc += term if k % 2 else -term
-                k += 1
-            t.append(acc)
+        if len(t) <= n:
+            offsets = _pentagonals(n)
+            while len(t) <= n:
+                t.append(_signed_sum(t, len(t), offsets))
         return t
 
 
 def _q_upto(n):
+    """Q from the P table: prod(1 + x^k) = E(x^2)/E(x), E(x) = prod(1 - x^k).
+
+    Multiplying the generating function of P by E(x^2) gives
+    Q(m) = P(m) - P(m-2) - P(m-4) + P(m-10) + P(m-14) - ..., the offsets
+    being twice the generalized pentagonal numbers.
+    """
+    p = _p_upto(n)
     with _lock:
-        if _q_state["limit"] >= n:
-            return _q_state["table"]
-        limit = max(n, 2 * _q_state["limit"], 64)
-        dp = [0] * (limit + 1)
-        dp[0] = 1
-        for k in range(1, limit + 1):
-            for m in range(limit, k - 1, -1):
-                dp[m] += dp[m - k]
-        _q_state["limit"] = limit
-        _q_state["table"] = dp
-        return dp
+        t = _q_table
+        if len(t) <= n:
+            offsets = [2 * g for g in _pentagonals(n // 2)]
+            while len(t) <= n:
+                m = len(t)
+                t.append(p[m] - _signed_sum(p, m, offsets))
+        return t
 
 
 def _check_positive(n):
@@ -172,15 +181,13 @@ def count_p_ge2(n: int) -> int:
 def count_q_ge2(n: int) -> int:
     """Distinct-part partitions of n with every part >= 2.
 
-    Uses the alternating recurrence Q(m;1) = Q(m) - Q(m-1;1), unrolled from
-    Q(1;1) = 0.  The test suite cross-checks against direct enumeration.
+    Unrolls the alternating recurrence Q(m;1) = Q(m) - Q(m-1;1) from
+    Q(1;1) = 0 into Q(n) - Q(n-1) + ... +- Q(2).  The test suite
+    cross-checks against direct enumeration.
     """
     _check_ge2(n)
     q = _q_upto(n)
-    val = 0
-    for m in range(2, n + 1):
-        val = q[m] - val
-    return val
+    return sum(q[n:1:-2]) - sum(q[n - 1 : 1 : -2])
 
 
 def count_r_ge2(n: int) -> int:

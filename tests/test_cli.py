@@ -68,6 +68,11 @@ class TestEnvelope:
         env = json.loads(target.read_text())
         assert env["result"]["count"] == "2"
 
+    def test_output_unwritable_exits_1(self, tmp_path):
+        code, out, err = run(["count", "10", "--output", str(tmp_path)])
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot write {tmp_path}: ")
+
 
 class TestCommands:
     def test_solutions_plain(self):
@@ -183,6 +188,7 @@ class TestExitCodes:
             ["plist", "--max", "50"],
             ["pair", "1", "3", "--", "2", "2"],
             ["verify-inv", "2", "2", "--", "2", "2"],
+            ["verify-lie", "2", "2", "4", "--", "2", "6", "--tol", "1e-40"],
         ],
     )
     def test_domain_errors_exit_1(self, argv):

@@ -7,7 +7,9 @@ import pytest
 
 from borelcensus import (
     DomainError,
+    IndeterminateError,
     InvolutionSpec,
+    NumericalError,
     Partition,
     block_algebra,
     closure,
@@ -18,8 +20,7 @@ from borelcensus import (
     is_transitive_pair,
     transitive_on,
 )
-from borelcensus._accel import closure_kernel, closure_kernel_numpy
-from borelcensus.lieverify import swap_matrix
+from borelcensus.lieverify import SkewBasis, _accept, swap_matrix
 
 P = Partition
 
@@ -108,20 +109,44 @@ class TestClosure:
             b = block_algebra(P(parts))
             assert closure(b, b).dimension == generated_group(P(parts), P(parts)).lie_dimension
 
+    def test_rejects_tol_below_float_noise(self):
+        # at 1e-40 rounding residuals near 1e-16 would pass as new directions
+        b = block_algebra(P((2, 2)))
+        with pytest.raises(DomainError):
+            closure(b, b, tol=1e-40)
 
-class TestBackends:
-    def test_numpy_and_selected_backend_agree(self):
-        for parts1, parts2 in [((2, 2), (4,)), ((2, 2, 4), (2, 6))]:
-            b1, b2 = block_algebra(P(parts1)), block_algebra(P(parts2))
-            n = b1.n
-            gens = np.ascontiguousarray(
-                np.concatenate([b1.elements, b2.elements]).reshape(-1, n * n)
-            )
-            rounds_cap = 10 * (n * (n - 1) // 2)
-            basis_a, dim_a, it_a = closure_kernel(gens, n, 1e-9, rounds_cap)
-            basis_b, dim_b, it_b = closure_kernel_numpy(gens, n, 1e-9, rounds_cap)
-            assert dim_a == dim_b and it_a == it_b
-            assert np.array_equal(basis_a[:dim_a], basis_b[:dim_b])
+    def test_residual_in_ambiguity_band_raises(self):
+        # the second generator leaves the first's span by 3e-10, and the two
+        # commute, so that residual decides the dimension alone
+        x = np.zeros((4, 4))
+        x[0, 1], x[1, 0] = 1.0, -1.0
+        y = x.copy()
+        y[2, 3], y[3, 2] = 3e-10, -3e-10
+        b1 = SkewBasis(n=4, elements=(x / np.linalg.norm(x))[None])
+        b2 = SkewBasis(n=4, elements=(y / np.linalg.norm(y))[None])
+        with pytest.raises(IndeterminateError):
+            closure(b1, b2, tol=1e-9)
+        assert closure(b1, b2, tol=1e-11).dimension == 2
+        assert closure(b1, b2, tol=1e-8).dimension == 1
+
+    def test_basis_overflow_raises(self):
+        basis = np.zeros((1, 4))  # room for one direction only
+        with pytest.raises(NumericalError):
+            _accept(basis, 0, np.eye(4)[:2], 1e-9)
+
+    def test_exhaustive_sweep_n11_n12(self):
+        pairs = [
+            (n, p1, p2)
+            for n in (11, 12)
+            for p1, p2 in combinations(enumerate_partitions(n, 2), 2)
+        ]
+        assert len(pairs) == 301
+        for n, p1, p2 in pairs:
+            c = closure(block_algebra(p1), block_algebra(p2))
+            assert c.dimension == generated_group(p1, p2).lie_dimension, (p1, p2)
+            assert transitive_on(c, (0, n)) == is_transitive_pair(p1, p2), (p1, p2)
+            for w in decompose(p1, p2).windows:
+                assert transitive_on(c, (w.start, w.start + w.size)), (p1, p2, w)
 
 
 class TestTransitivity:

@@ -19,6 +19,7 @@ from borelcensus import (
     enumerate_partitions,
     partition_counts,
 )
+from borelcensus import partitions
 from borelcensus.published import PUBLISHED_P_LIST, PUBLISHED_TABLE
 
 
@@ -32,11 +33,11 @@ def p_by_dp(limit):
     return dp
 
 
-def q_ge2_by_dp(limit):
-    """Distinct parts >= 2 by 0/1-knapsack DP; independent of the recurrence."""
+def q_by_dp(limit, min_part=1):
+    """Distinct parts >= min_part by 0/1-knapsack DP; independent of the recurrences."""
     dp = [0] * (limit + 1)
     dp[0] = 1
-    for k in range(2, limit + 1):
+    for k in range(min_part, limit + 1):
         for m in range(limit, k - 1, -1):
             dp[m] += dp[m - k]
     return dp
@@ -104,9 +105,18 @@ class TestCounts:
             assert count_p(n) == dp[n]
 
     def test_q_ge2_matches_dp_to_300(self):
-        dp = q_ge2_by_dp(300)
+        dp = q_by_dp(300, 2)
         for n in range(2, 301):
             assert count_q_ge2(n) == dp[n]
+
+    def test_q_matches_dp_to_2000(self, monkeypatch):
+        # empty tables, so that later queries extend what earlier ones filled
+        monkeypatch.setattr(partitions, "_p_table", [1])
+        monkeypatch.setattr(partitions, "_q_table", [1])
+        dp = q_by_dp(2000)
+        assert count_q(1000) == dp[1000]
+        assert count_q(1001) == dp[1001]
+        assert [count_q(n) for n in range(1, 2001)] == dp[1:]
 
     def test_published_table_p_q_r_columns(self):
         for n, (p, q, r, _p1, _q1, _r1) in PUBLISHED_TABLE.items():

@@ -3,8 +3,13 @@
 Every invocation builds one envelope {command, inputs, result, errata,
 version}; --json prints it as a single JSON object (big counts as decimal
 strings), --output writes it to a file, and plain mode renders a human
-summary.  Exit codes: 0 success, 1 domain error or an unwritable --output
-file, 2 usage error, 3 indeterminate numerical result.
+summary.  Exit codes: 0 success, 1 domain error, an input over its budget
+or an unwritable --output file, 2 usage error, 3 indeterminate numerical
+result, 4 a failed internal consistency check.
+
+Input budgets: `count N` takes N <= MAX_COUNT_N; `list N` and `census N`
+enumerate P(N) partitions and `special N` P(M) base partitions, and each
+refuses an input whose count exceeds MAX_ENUMERATED.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import json
 import sys
 
 from . import __version__
-from .errors import DomainError, NumericalError
+from .errors import DomainError, InternalInvariantError, NumericalError
 from .flags import (
     SignRep,
     borel_classification,
@@ -33,9 +38,9 @@ from .pairs import (
     has_common_subpartition,
     is_transitive_pair,
 )
-from .partitions import Partition, enumerate_partitions, partition_counts
+from .partitions import Partition, count_p, enumerate_partitions, partition_counts
 from .published import PUBLISHED_P_LIST, p_list_errata, table_errata
-from .special import family, solutions_count
+from .special import applicable_case, family, solutions_count
 
 USAGE = """usage: borelcensus [--json] [--output FILE] COMMAND [ARGS]
 
@@ -58,8 +63,21 @@ commands:
 """
 
 
+MAX_COUNT_N = 10**5
+MAX_ENUMERATED = 10**6  # partitions that list, census and special may enumerate
+
+
 class UsageError(Exception):
     pass
+
+
+def _check_enumeration_budget(command, n, m):
+    size = count_p(m)
+    if size > MAX_ENUMERATED:
+        raise DomainError(
+            f"{command} {n} would enumerate P({m}) = {size} partitions, "
+            f"over the budget of {MAX_ENUMERATED}"
+        )
 
 
 def _pop_flag(tokens, name):
@@ -138,6 +156,8 @@ def _counts_payload(c):
 
 def _cmd_count(tokens):
     n = _one_int(tokens)
+    if n > MAX_COUNT_N:
+        raise DomainError(f"count takes N <= {MAX_COUNT_N}, got {n}")
     c = partition_counts(n)
     plain = [
         f"P({n}) = {c.p}",
@@ -154,6 +174,7 @@ def _cmd_list(tokens):
     min_part = _pop_value(tokens, "--min-part", int, 1)
     distinct = _pop_flag(tokens, "--distinct")
     n = _one_int(tokens)
+    _check_enumeration_budget("list", n, n)
     parts = enumerate_partitions(n, min_part, distinct)
     result = {
         "n": n,
@@ -209,6 +230,7 @@ def _cmd_orbit(tokens):
 
 def _cmd_census(tokens):
     n = _one_int(tokens)
+    _check_enumeration_budget("census", n, n)
     c = class_census(n)
     result = {
         "n": n,
@@ -230,6 +252,7 @@ def _cmd_census(tokens):
 
 def _cmd_special(tokens):
     n = _one_int(tokens)
+    _check_enumeration_budget("special", n, applicable_case(n)[1])
     fam = family(n)
     result = {
         "n": n,
@@ -518,6 +541,9 @@ def run(argv, stdout=None, stderr=None) -> int:
     except NumericalError as exc:
         print(f"numerical: {exc}", file=err)
         return 3
+    except InternalInvariantError as exc:
+        print(f"internal: {exc}", file=err)
+        return 4
 
 
 def main(argv=None) -> int:

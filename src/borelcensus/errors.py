@@ -19,3 +19,7 @@ class IndeterminateError(NumericalError):
 
 class ProbeDisagreementError(NumericalError):
     """Independent probe vectors disagreed on a transitivity rank test."""
+
+
+class InternalInvariantError(RuntimeError):
+    """An internal consistency check failed: a defect, not a bad input."""

@@ -19,17 +19,8 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import DomainError
-from .partitions import (
-    Partition,
-    count_p,
-    count_p_ge2,
-    count_q,
-    count_q_ge2,
-    count_r,
-    count_r_ge2,
-    enumerate_partitions,
-)
+from .errors import DomainError, InternalInvariantError
+from .partitions import Partition, _tuples, partition_counts
 
 __all__ = [
     "MultiplicityProfile",
@@ -207,41 +198,37 @@ def nontrivial_factors(p: Partition) -> tuple:
     return tuple((v, m) for v, m in profile(p).counts if m >= 2)
 
 
-def _recount(parts_list):
-    nontrivial = sum(1 for q in parts_list if len(set(q.parts)) < q.length)
-    return len(parts_list), nontrivial
-
-
 def class_census(n: int) -> ClassCensus:
     """Census of flag classes of n, recounted by enumeration as a safety net.
 
-    The closed-form counts (P, Q, R and the parts>=2 triple) are compared
-    against a direct enumeration; a mismatch raises.  Enumeration makes
-    this O(P(n)), so the census is a desk-scale operation.
+    The six closed-form counts come from one `partition_counts` call.  One
+    pass over the partitions of n recounts the totals and the classes with
+    a repeated part (nontrivial Weyl group), with and without parts of
+    size 1; a mismatch raises InternalInvariantError.  The pass makes this
+    O(P(n)), so the census is a desk-scale operation.
     """
-    total, trivial = count_p(n), count_q(n)
-    if n >= 2:
-        total2, trivial2 = count_p_ge2(n), count_q_ge2(n)
-    else:
-        total2 = trivial2 = 0
-
-    all_parts = enumerate_partitions(n, 1, False)
-    etotal, enontrivial = _recount(all_parts)
-    ge2_parts = [q for q in all_parts if q.min_part >= 2]
-    etotal2, enontrivial2 = _recount(ge2_parts)
-    expected = (total, count_r(n), total2, (total2 - trivial2) if n >= 2 else 0)
-    got = (etotal, enontrivial, etotal2, enontrivial2)
+    c = partition_counts(n)
+    total = nontrivial = total2 = nontrivial2 = 0
+    for t in _tuples(n, 1, False):
+        repeated = len(set(t)) < len(t)
+        total += 1
+        nontrivial += repeated
+        if t[0] >= 2:
+            total2 += 1
+            nontrivial2 += repeated
+    expected = (c.p, c.r, c.p_ge2, c.r_ge2)
+    got = (total, nontrivial, total2, nontrivial2)
     if expected != got:
-        raise RuntimeError(f"census recount mismatch at n={n}: {expected} vs {got}")
+        raise InternalInvariantError(f"census recount mismatch at n={n}: {expected} vs {got}")
 
     return ClassCensus(
         n=n,
-        total=total,
-        trivial_weyl=trivial,
-        nontrivial_weyl=total - trivial,
-        total_ge2=total2,
-        trivial_weyl_ge2=trivial2,
-        nontrivial_weyl_ge2=total2 - trivial2,
+        total=c.p,
+        trivial_weyl=c.q,
+        nontrivial_weyl=c.r,
+        total_ge2=c.p_ge2,
+        trivial_weyl_ge2=c.q_ge2,
+        nontrivial_weyl_ge2=c.r_ge2,
     )
 
 

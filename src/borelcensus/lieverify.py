@@ -156,8 +156,10 @@ def closure(b1: SkewBasis, b2: SkewBasis, tol: float = DEFAULT_TOL) -> LieClosur
     if not tol >= _SKEW_TOL:
         raise DomainError(f"tol must be at least {_SKEW_TOL:.0e}, got {tol!r}")
     n = b1.n
-    _check_skew(b1.elements, tol)
-    _check_skew(b2.elements, tol)
+    for which, b in (("first", b1), ("second", b2)):
+        if not len(b.elements):
+            raise DomainError(f"the {which} basis is empty; closure needs at least one element")
+        _check_skew(b.elements, tol)
     basis = np.zeros((n * (n - 1) // 2, n * n))
     gens = np.concatenate([b1.elements, b2.elements]).reshape(-1, n * n)
     m = _accept(basis, 0, gens, tol)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, InternalInvariantError
 from .partitions import Partition
 
 __all__ = [
@@ -185,7 +185,7 @@ def is_transitive_pair(p1: Partition, p2: Partition) -> bool:
     direct = p1 != p2 and has_common_subpartition(p1, p2) is None
     structural = generated_group(p1, p2).factors == ((p1.n, "window"),)
     if direct != structural:  # pragma: no cover - the two criteria coincide
-        raise RuntimeError(f"transitivity criteria disagree on {p1}, {p2}")
+        raise InternalInvariantError(f"transitivity criteria disagree on {p1}, {p2}")
     return direct
 
 

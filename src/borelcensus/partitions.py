@@ -3,9 +3,9 @@
 Counts are exact big integers: P(n) via the Euler pentagonal recurrence,
 Q(n) (distinct parts) from the P table by the same theorem, R(n) = P(n) -
 Q(n), and the parts>=2 variants P(n;1), Q(n;1), R(n;1) via the subtraction
-and alternating recurrences.  A naive recursive enumerator backs
-everything as an independent oracle, and the Hardy-Littlewood leading
-terms give the asymptotic cross-check.
+and alternating recurrences.  A direct enumerator backs everything as
+an independent oracle, and the Hardy-Littlewood leading terms give the
+asymptotic cross-check.
 """
 
 from __future__ import annotations
@@ -207,14 +207,23 @@ def partition_counts(n: int) -> PartitionCounts:
 
 
 def _tuples(remaining, floor, distinct):
-    # Non-decreasing tails with parts >= floor, lexicographic order.
-    if remaining == 0:
-        yield ()
-        return
-    for k in range(floor, remaining + 1):
-        nxt = k + 1 if distinct else k
-        for tail in _tuples(remaining - k, nxt, distinct):
-            yield (k,) + tail
+    # Non-decreasing tuples of parts >= floor, lexicographic order.  Each
+    # successor merges the last two parts, raises the smaller one by 1 and
+    # refills greedily with the smallest parts allowed (Kelleher and
+    # O'Sullivan, "Generating All Partitions").
+    step = 1 if distinct else 0
+    parts, low, rest = [], floor, remaining
+    while rest >= low:  # fails only at the start, when remaining < floor
+        while rest - low >= low + step:
+            parts.append(low)
+            rest -= low
+            low += step
+        parts.append(rest)
+        yield tuple(parts)
+        if len(parts) < 2:
+            return
+        rest = parts.pop() + parts[-1]
+        low = parts.pop() + 1
 
 
 def enumerate_partitions(n: int, min_part: int = 1, distinct: bool = False) -> list:

@@ -9,11 +9,10 @@ number of geometrically distinct solution series the construction yields.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 
-from .errors import UnsupportedDimensionError
-from .flags import equivalent, weyl
+from .errors import InternalInvariantError, UnsupportedDimensionError
+from .flags import profile
 from .partitions import Partition, count_p, enumerate_partitions
 
 __all__ = ["SpecialFamily", "applicable_case", "double_partition", "family", "solutions_count"]
@@ -53,38 +52,35 @@ def double_partition(base: Partition, n: int) -> Partition:
     """Double a partition of M into the family member for dimension n.
 
     Every base part M_i becomes the equal pair 2M_i, 2M_i; depending on the
-    residue a part 2, 3 or 5 is added.  Sorted insertion reproduces both of
-    the case-split forms of the odd-part constructions in one code path.
+    residue a part 2, 3 or 5 is added.
     """
     case, m = applicable_case(n)
     if base.n != m:
         raise UnsupportedDimensionError(
             f"n={n} needs a base partition of {m}, got one of {base.n}"
         )
-    doubled = []
-    for v in base.parts:
-        doubled.extend((2 * v, 2 * v))
-    extra = _CASES[case]
-    if extra == 2:
-        doubled.insert(0, 2)
-    elif extra:
-        insort(doubled, extra)
+    doubled = [2 * v for v in base.parts] * 2
+    if _CASES[case]:
+        doubled.append(_CASES[case])
     return Partition(tuple(doubled))
 
 
 def family(n: int) -> SpecialFamily:
-    """The full family at dimension n, with its invariants re-verified."""
+    """The full family at dimension n, with its invariants re-verified.
+
+    Flag classes are multiplicity profiles, so the members are pairwise
+    non-equivalent exactly when their profiles are pairwise distinct.
+    """
     case, m = applicable_case(n)
     members = tuple(double_partition(b, n) for b in enumerate_partitions(m))
-    for p in members:
-        if p.n != n or p.min_part < 2 or not weyl(p).nontrivial:
-            raise RuntimeError(f"double partition {p} violates the construction")
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            if equivalent(members[i], members[j]):
-                raise RuntimeError(f"members {members[i]} and {members[j]} coincide")
+    profiles = [profile(p) for p in members]
+    for p, prof in zip(members, profiles):
+        if prof.n != n or p.min_part < 2 or all(mult < 2 for _, mult in prof.counts):
+            raise InternalInvariantError(f"double partition {p} violates the construction")
+    if len(set(profiles)) != len(members):
+        raise InternalInvariantError(f"two members of the family at n={n} coincide")
     if len(members) != count_p(m):
-        raise RuntimeError(f"family size {len(members)} != P({m})")
+        raise InternalInvariantError(f"family size {len(members)} != P({m})")
     return SpecialFamily(n=n, case=case, m=m, members=members)
 
 

@@ -165,7 +165,7 @@ def _trivial_rho(p):
 
 
 def test_criterion_9_property_suites():
-    with Criterion(9, "property suites"):
+    with Criterion(9, "property suites", budget=30.0):
         # orbit-stabilizer over all partitions of n <= 12
         for n in range(1, 13):
             for p in bc.enumerate_partitions(n):

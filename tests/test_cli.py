@@ -8,6 +8,7 @@ import subprocess
 import pytest
 
 import borelcensus.cli as cli
+from borelcensus import flags
 from borelcensus.errors import IndeterminateError
 
 
@@ -189,6 +190,10 @@ class TestExitCodes:
             ["pair", "1", "3", "--", "2", "2"],
             ["verify-inv", "2", "2", "--", "2", "2"],
             ["verify-lie", "2", "2", "4", "--", "2", "6", "--tol", "1e-40"],
+            ["census", "61"],
+            ["list", "61"],
+            ["special", "250"],
+            ["count", "100001"],
         ],
     )
     def test_domain_errors_exit_1(self, argv):
@@ -220,6 +225,20 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "verify_pair", boom)
         code, _, err = run(["verify-inv", "4", "4", "--", "2", "2", "2", "2"])
         assert code == 3 and "ambiguous" in err
+
+    def test_budgets_state_the_estimate(self):
+        code, out, err = run(["list", "61", "--min-part", "2"])
+        assert code == 1 and not out
+        assert "P(61) = 1121505" in err and "budget" in err
+        assert run(["special", "250"])[2].count("P(62) =") == 1
+
+    def test_internal_invariant_exit_4(self, monkeypatch):
+        real = flags.partition_counts
+        monkeypatch.setattr(flags, "partition_counts", lambda n: real(n + 1))
+        code, out, err = run(["census", "6"])
+        assert code == 4 and out == ""
+        assert err.startswith("internal: census recount mismatch")
+        assert "Traceback" not in err
 
     def test_help_exits_0(self):
         code, out, _ = run(["help"])

@@ -1,12 +1,14 @@
 """Flag classification: profiles, Weyl groups, census, nodal subspaces."""
 
 import math
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
 
 from borelcensus import (
     DomainError,
+    InternalInvariantError,
     Partition,
     SignRep,
     borel_classification,
@@ -21,6 +23,7 @@ from borelcensus import (
     profile,
     weyl,
 )
+from borelcensus import flags
 
 P = Partition
 
@@ -115,6 +118,18 @@ class TestCensus:
             assert c.total_ge2 == count_p_ge2(n)
             assert c.trivial_weyl_ge2 == count_q_ge2(n)
             assert c.nontrivial_weyl_ge2 == count_r_ge2(n)
+
+    @pytest.mark.parametrize("field", ["p", "r", "p_ge2", "r_ge2"])
+    def test_recount_mismatch_raises(self, monkeypatch, field):
+        real = flags.partition_counts
+
+        def off_by_one(n):
+            c = real(n)
+            return replace(c, **{field: getattr(c, field) + 1})
+
+        monkeypatch.setattr(flags, "partition_counts", off_by_one)
+        with pytest.raises(InternalInvariantError, match="recount mismatch at n=6"):
+            class_census(6)
 
 
 class TestClassification:

@@ -88,6 +88,14 @@ class TestClosure:
         with pytest.raises(DomainError):
             closure(bad, bad)
 
+    def test_rejects_empty_basis(self):
+        empty = SkewBasis(n=3, elements=np.zeros((0, 3, 3)))
+        b = block_algebra(P((3,)))
+        with pytest.raises(DomainError, match="first basis is empty"):
+            closure(empty, b)
+        with pytest.raises(DomainError, match="second basis is empty"):
+            closure(b, empty)
+
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(DomainError):
             closure(block_algebra(P((2, 2))), block_algebra(P((2, 3))))

@@ -43,6 +43,17 @@ def q_by_dp(limit, min_part=1):
     return dp
 
 
+def _tuples_by_recursion(remaining, floor, distinct):
+    """Non-decreasing tails with parts >= floor, lexicographic; the generator's oracle."""
+    if remaining == 0:
+        yield ()
+        return
+    for k in range(floor, remaining + 1):
+        nxt = k + 1 if distinct else k
+        for tail in _tuples_by_recursion(remaining - k, nxt, distinct):
+            yield (k,) + tail
+
+
 class TestPartitionType:
     def test_canonicalizes(self):
         assert Partition((3, 1, 2)).parts == (1, 2, 3)
@@ -182,6 +193,14 @@ class TestEnumeration:
                 1 for p in enumerate_partitions(n) if len(set(p.parts)) < p.length
             )
             assert repeated == count_r(n)
+
+    @pytest.mark.parametrize("distinct", [False, True])
+    @pytest.mark.parametrize("floor", [1, 2, 3, 4])
+    def test_generator_matches_recursion(self, floor, distinct):
+        # n < floor included: both yield nothing there
+        for n in range(1, 31):
+            got = list(partitions._tuples(n, floor, distinct))
+            assert got == list(_tuples_by_recursion(n, floor, distinct)), n
 
     def test_lexicographic_order(self):
         for n in (8, 11):

@@ -3,6 +3,7 @@
 import pytest
 
 from borelcensus import (
+    InternalInvariantError,
     Partition,
     UnsupportedDimensionError,
     count_p,
@@ -14,9 +15,11 @@ from borelcensus import (
     solutions_count,
     weyl,
 )
+from borelcensus import special
 from borelcensus.special import applicable_case
 
 P = Partition
+_double = special.double_partition
 
 
 class TestDoubling:
@@ -97,6 +100,31 @@ class TestFamily:
                     dec = decompose(members[i], members[j])
                     assert dec.windows, (members[i], members[j])
                     assert first_window_with_involution(members[i], members[j]) is not None
+
+
+class TestFamilyChecks:
+    """Each consistency check of family fires when the construction breaks."""
+
+    @pytest.mark.parametrize(
+        "broken,message",
+        [
+            # the bases {1,1,1} and {1,2} give one member
+            (lambda b, n: _double(P((1, 2)) if b == P((1, 1, 1)) else b, n), "coincide"),
+            # members of the wrong n, with a part 1, with a trivial Weyl group
+            (lambda b, _n: P(tuple(2 * v for v in b.parts) * 3), "violates"),
+            (lambda _b, n: P((1,) * n), "violates"),
+            (lambda _b, n: P((n,)), "violates"),
+        ],
+    )
+    def test_broken_doubling_raises(self, monkeypatch, broken, message):
+        monkeypatch.setattr(special, "double_partition", broken)
+        with pytest.raises(InternalInvariantError, match=message):
+            family(12)
+
+    def test_size_mismatch_raises(self, monkeypatch):
+        monkeypatch.setattr(special, "count_p", lambda m: 4)
+        with pytest.raises(InternalInvariantError, match="family size 3 != P"):
+            family(12)
 
 
 class TestSolutionsCount:

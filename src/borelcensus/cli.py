@@ -7,9 +7,11 @@ summary.  Exit codes: 0 success, 1 domain error, an input over its budget
 or an unwritable --output file, 2 usage error, 3 indeterminate numerical
 result, 4 a failed internal consistency check.
 
-Input budgets: `count N` takes N <= MAX_COUNT_N; `list N` and `census N`
-enumerate P(N) partitions and `special N` P(M) base partitions, and each
-refuses an input whose count exceeds MAX_ENUMERATED.
+Input budgets: `count N` takes N <= MAX_COUNT_N; `census N` enumerates
+P(N) partitions, `special N` P(M) base partitions, and `list N` P(N),
+P(N;1), Q(N) or Q(N;1) by --distinct and by whether --min-part is at
+least 2 (an upper bound for --min-part above 2).  Each refuses an input
+whose count exceeds MAX_ENUMERATED.
 """
 
 from __future__ import annotations
@@ -71,11 +73,11 @@ class UsageError(Exception):
     pass
 
 
-def _check_enumeration_budget(command, n, m):
-    size = count_p(m)
+def _check_enumeration_budget(command, n, count, size):
+    """Refuse when the named count (e.g. "P(61)") of partitions exceeds the budget."""
     if size > MAX_ENUMERATED:
         raise DomainError(
-            f"{command} {n} would enumerate P({m}) = {size} partitions, "
+            f"{command} {n} would enumerate {count} = {size} partitions, "
             f"over the budget of {MAX_ENUMERATED}"
         )
 
@@ -174,7 +176,12 @@ def _cmd_list(tokens):
     min_part = _pop_value(tokens, "--min-part", int, 1)
     distinct = _pop_flag(tokens, "--distinct")
     n = _one_int(tokens)
-    _check_enumeration_budget("list", n, n)
+    c = partition_counts(n)
+    ge2 = min_part >= 2
+    size = (c.q_ge2 if ge2 else c.q) if distinct else (c.p_ge2 if ge2 else c.p)
+    count = f"{'Q' if distinct else 'P'}({n}{';1' if ge2 else ''})"
+    # the parts >= 2 count only bounds the partitions with larger parts
+    _check_enumeration_budget("list", n, ("at most " if min_part > 2 else "") + count, size)
     parts = enumerate_partitions(n, min_part, distinct)
     result = {
         "n": n,
@@ -230,7 +237,7 @@ def _cmd_orbit(tokens):
 
 def _cmd_census(tokens):
     n = _one_int(tokens)
-    _check_enumeration_budget("census", n, n)
+    _check_enumeration_budget("census", n, f"P({n})", count_p(n))
     c = class_census(n)
     result = {
         "n": n,
@@ -252,7 +259,8 @@ def _cmd_census(tokens):
 
 def _cmd_special(tokens):
     n = _one_int(tokens)
-    _check_enumeration_budget("special", n, applicable_case(n)[1])
+    m = applicable_case(n)[1]
+    _check_enumeration_budget("special", n, f"P({m})", count_p(m))
     fam = family(n)
     result = {
         "n": n,

@@ -198,6 +198,17 @@ def nontrivial_factors(p: Partition) -> tuple:
     return tuple((v, m) for v, m in profile(p).counts if m >= 2)
 
 
+def _signed_factors(p, rho):
+    """((value, multiplicity), delta) for each nontrivial Weyl factor of p."""
+    factors = nontrivial_factors(p)
+    if len(rho.deltas) != len(factors):
+        raise DomainError(
+            f"sign rep has {len(rho.deltas)} deltas but the partition has "
+            f"{len(factors)} nontrivial Weyl factors"
+        )
+    return list(zip(factors, rho.deltas))
+
+
 def class_census(n: int) -> ClassCensus:
     """Census of flag classes of n, recounted by enumeration as a safety net.
 
@@ -265,16 +276,11 @@ def nodal_subspaces(p: Partition, rho: SignRep) -> list:
     blocks of that size, the swap fixes the subspace where the two blocks
     agree coordinate-wise; its codimension is the block size.
     """
-    factors = nontrivial_factors(p)
-    if not factors:
+    signed = _signed_factors(p, rho)
+    if not signed:
         raise DomainError("the Weyl group is trivial; no signed swaps exist")
-    if len(rho.deltas) != len(factors):
-        raise DomainError(
-            f"sign rep has {len(rho.deltas)} deltas but the partition has "
-            f"{len(factors)} nontrivial Weyl factors"
-        )
     out = []
-    for (value, _m), delta in zip(factors, rho.deltas):
+    for (value, _m), delta in signed:
         if delta != 1:
             continue
         for a, b in combinations(sorted(phi_indices(p, value)), 2):

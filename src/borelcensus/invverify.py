@@ -7,17 +7,22 @@ This module builds those spaces, the signed (intertwining) variants on
 which the Weyl group acts by a sign character, and the single-swap
 antisymmetric spaces the independence argument actually uses, then checks
 that spaces attached to different partitions meet only in zero.
+The blocks are disjoint, so a block-norm monomial expands block by block:
+each coordinate monomial concatenates one term of every q_j^alpha_j, with
+the product of their multinomial coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations, product
+from math import factorial
 
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .flags import SignRep, nontrivial_factors, profile
+from .flags import SignRep, _signed_factors, nontrivial_factors, weyl
 from .lieverify import _rank
 from .pairs import decompose, first_window_with_involution, _window_swap
 from .partitions import Partition
@@ -79,46 +84,28 @@ def _check_parts(p):
         raise DomainError("invariant spaces are built for partitions with parts >= 2")
 
 
-def _block_norms(p):
-    """Sparse squared-norm polynomial of each block."""
-    n = p.n
-    polys, offset = [], 0
-    for size in p.parts:
-        poly = {}
-        for i in range(offset, offset + size):
-            e = [0] * n
-            e[i] = 2
-            poly[tuple(e)] = 1.0
-        polys.append(poly)
-        offset += size
-    return polys
+@cache
+def _block_power(size, k):
+    """Terms of (x_1^2 + ... + x_size^2)^k as (block-local exponents, coefficient)."""
+    terms = []
+    for b in _alphas(size - 1, k):
+        beta = (*b, k - sum(b))
+        coeff = factorial(k)
+        for v in beta:
+            coeff //= factorial(v)
+        terms.append((tuple(2 * v for v in beta), float(coeff)))
+    return tuple(terms)
 
 
-def _poly_mul(a, b):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, 0.0) + ca * cb
-    return out
-
-
-def _norm_power(j, k, norms, cache):
-    if k == 0:
-        n = len(next(iter(norms[j])))
-        return {tuple([0] * n): 1.0}
-    key = (j, k)
-    if key not in cache:
-        cache[key] = _poly_mul(_norm_power(j, k - 1, norms, cache), norms[j])
-    return cache[key]
-
-
-def _norm_monomial(alpha, norms, cache):
-    n = len(next(iter(norms[0])))
-    poly = {tuple([0] * n): 1.0}
-    for j, k in enumerate(alpha):
-        if k:
-            poly = _poly_mul(poly, _norm_power(j, k, norms, cache))
+def _norm_monomial(alpha, parts):
+    """prod_j q_j^alpha_j in coordinates, one concatenated term per block combination."""
+    poly = {}
+    for combo in product(*(_block_power(size, k) for size, k in zip(parts, alpha))):
+        e, c = (), 1.0
+        for block_e, block_c in combo:
+            e += block_e
+            c *= block_c
+        poly[e] = c
     return poly
 
 
@@ -145,9 +132,7 @@ def invariant_space(p: Partition, d: int) -> PolySubspace:
     """
     _check_parts(p)
     _check_degree(d)
-    norms = _block_norms(p)
-    cache = {}
-    basis = tuple(_norm_monomial(a, norms, cache) for a in _alphas(p.length, d // 2))
+    basis = tuple(_norm_monomial(a, p.parts) for a in _alphas(p.length, d // 2))
     return PolySubspace(n=p.n, degree_cap=d, basis=basis, dim=len(basis))
 
 
@@ -157,16 +142,10 @@ def _value_groups(p, rho):
     Multiplicity-1 groups get delta 0 (the only character they have);
     groups of multiplicity >= 2 consume rho's deltas in value order.
     """
-    factors = nontrivial_factors(p)
-    if len(rho.deltas) != len(factors):
-        raise DomainError(
-            f"sign rep has {len(rho.deltas)} deltas but the partition has "
-            f"{len(factors)} nontrivial Weyl factors"
-        )
+    deltas = {v: delta for (v, _m), delta in _signed_factors(p, rho)}
     by_value = {}
     for idx, v in enumerate(p.parts):
         by_value.setdefault(v, []).append(idx)
-    deltas = dict(zip((v for v, _ in factors), rho.deltas))
     return [(tuple(slots), deltas.get(v, 0)) for v, slots in sorted(by_value.items())]
 
 
@@ -224,8 +203,6 @@ def intertwining_space(p: Partition, rho: SignRep, d: int) -> PolySubspace:
     _check_parts(p)
     _check_degree(d)
     groups = _value_groups(p, rho)
-    norms = _block_norms(p)
-    cache = {}
     basis, seen = [], set()
     for alpha in _alphas(p.length, d // 2):
         canon = _canonical(alpha, groups)
@@ -234,7 +211,7 @@ def intertwining_space(p: Partition, rho: SignRep, d: int) -> PolySubspace:
         seen.add(canon)
         poly = {}
         for beta, coeff in _signed_orbit(canon, groups).items():
-            for e, val in _norm_monomial(beta, norms, cache).items():
+            for e, val in _norm_monomial(beta, p.parts).items():
                 poly[e] = poly.get(e, 0.0) + coeff * val
         basis.append(poly)
     return PolySubspace(n=p.n, degree_cap=d, basis=tuple(basis), dim=len(basis))
@@ -255,16 +232,14 @@ def swap_antisymmetric_space(p: Partition, block_a: int, block_b: int, d: int) -
         raise DomainError(f"block indices {block_a}, {block_b} out of range for {p}")
     if p.parts[a] != p.parts[b]:
         raise DomainError(f"blocks {block_a} and {block_b} of {p} differ in size")
-    norms = _block_norms(p)
-    cache = {}
     basis = []
     for alpha in _alphas(p.length, d // 2):
         if alpha[a] <= alpha[b]:
             continue
         swapped = list(alpha)
         swapped[a], swapped[b] = swapped[b], swapped[a]
-        poly = dict(_norm_monomial(alpha, norms, cache))
-        for e, val in _norm_monomial(tuple(swapped), norms, cache).items():
+        poly = _norm_monomial(alpha, p.parts)
+        for e, val in _norm_monomial(tuple(swapped), p.parts).items():
             poly[e] = poly.get(e, 0.0) - val
         basis.append(poly)
     return PolySubspace(n=p.n, degree_cap=d, basis=tuple(basis), dim=len(basis))
@@ -356,13 +331,6 @@ def invariant_dim_by_derivations(p: Partition, d: int) -> int:
     return len(mons) - _rank(ops, RANK_TOL)[0]
 
 
-def _first_equal_pair(p):
-    for t in range(p.length - 1):
-        if p.parts[t] == p.parts[t + 1]:
-            return t + 1, t + 2
-    return None
-
-
 def _side_space(p, swap, d):
     if swap is None:
         return intertwining_space(p, SignRep((0,) * len(nontrivial_factors(p))), d)
@@ -387,20 +355,17 @@ def verify_pair(p1: Partition, p2: Partition, degree: int = 6) -> IndependenceRe
     plan = first_window_with_involution(p1, p2)
     if plan is None:
         raise DomainError(f"no window of ({p1}, {p2}) contains an equal-block pair")
-    dec = decompose(p1, p2)
+    windows = decompose(p1, p2).windows
 
+    # the carrier's first window swap is the plan's swap, so one scan serves both sides
     swaps = []
     for side, p in ((1, p1), (2, p2)):
-        if side == plan.side:
-            swaps.append((plan.block_a, plan.block_b))
-            continue
-        own = None
-        for window in dec.windows:
-            found = _window_swap(window, side)
-            if found is not None:
-                own = (found[0], found[1])
-                break
-        swaps.append(own if own is not None else _first_equal_pair(p))
+        found = next(filter(None, (_window_swap(w, side) for w in windows)), None)
+        if found is not None:
+            swaps.append(found[:2])
+        else:
+            invs = weyl(p).involutions
+            swaps.append((invs[0].block_a, invs[0].block_b) if invs else None)
 
     s1 = _side_space(p1, swaps[0], degree)
     s2 = _side_space(p2, swaps[1], degree)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import InternalInvariantError, UnsupportedDimensionError
 from .flags import profile
-from .partitions import Partition, count_p, enumerate_partitions
+from .partitions import Partition, _tuples, count_p
 
 __all__ = ["SpecialFamily", "applicable_case", "double_partition", "family", "solutions_count"]
 
@@ -48,6 +48,14 @@ def applicable_case(n: int):
     raise UnsupportedDimensionError(f"no double-partition construction covers n={n}")
 
 
+def _doubled(parts, case):
+    """Every part M_i as the equal pair 2M_i, 2M_i, plus the case's residue part."""
+    doubled = [2 * v for v in parts] * 2
+    if _CASES[case]:
+        doubled.append(_CASES[case])
+    return tuple(doubled)
+
+
 def double_partition(base: Partition, n: int) -> Partition:
     """Double a partition of M into the family member for dimension n.
 
@@ -59,10 +67,7 @@ def double_partition(base: Partition, n: int) -> Partition:
         raise UnsupportedDimensionError(
             f"n={n} needs a base partition of {m}, got one of {base.n}"
         )
-    doubled = [2 * v for v in base.parts] * 2
-    if _CASES[case]:
-        doubled.append(_CASES[case])
-    return Partition(tuple(doubled))
+    return Partition(_doubled(base.parts, case))
 
 
 def family(n: int) -> SpecialFamily:
@@ -72,7 +77,7 @@ def family(n: int) -> SpecialFamily:
     non-equivalent exactly when their profiles are pairwise distinct.
     """
     case, m = applicable_case(n)
-    members = tuple(double_partition(b, n) for b in enumerate_partitions(m))
+    members = tuple(Partition(_doubled(t, case)) for t in _tuples(m, 1, False))
     profiles = [profile(p) for p in members]
     for p, prof in zip(members, profiles):
         if prof.n != n or p.min_part < 2 or all(mult < 2 for _, mult in prof.counts):

@@ -2,8 +2,10 @@
 
 import io
 import json
-import shutil
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -227,9 +229,12 @@ class TestExitCodes:
         assert code == 3 and "ambiguous" in err
 
     def test_budgets_state_the_estimate(self):
-        code, out, err = run(["list", "61", "--min-part", "2"])
+        code, out, err = run(["list", "61"])
         assert code == 1 and not out
         assert "P(61) = 1121505" in err and "budget" in err
+        err = run(["list", "80", "--min-part", "3"])[2]
+        assert "at most P(80;1) = 1947826" in err
+        assert run_json(["list", "61", "--distinct"])["result"]["count"] == "12076"
         assert run(["special", "250"])[2].count("P(62) =") == 1
 
     def test_internal_invariant_exit_4(self, monkeypatch):
@@ -245,11 +250,20 @@ class TestExitCodes:
         assert code == 0 and "commands:" in out
 
 
-@pytest.mark.skipif(shutil.which("borelcensus") is None, reason="console script not installed")
 def test_installed_entry_point():
-    proc = subprocess.run(
-        ["borelcensus", "count", "6", "--json"], capture_output=True, text=True
-    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def main(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "borelcensus.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+
+    proc = main("count", "6", "--json")
     assert proc.returncode == 0
     env = json.loads(proc.stdout)
     assert env["result"]["p"] == "11"
+    assert main("count", "0").returncode == 1

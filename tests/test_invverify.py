@@ -1,6 +1,6 @@
 """Polynomial fixed-space surrogate: dimensions, intersections, independence."""
 
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
@@ -48,6 +48,20 @@ def block_rotation(p, block, rng):
     full = np.eye(p.n)
     full[offset : offset + size, offset : offset + size] = q
     return full
+
+
+def block_alpha(p, exps):
+    """Block-norm powers of a monomial: half the exponent sum of each block."""
+    offsets = borel_descriptor(p).block_offsets
+    return tuple(sum(exps[o : o + size]) // 2 for o, size in zip(offsets, p.parts))
+
+
+def norm_monomial_eval(p, alpha, x):
+    """prod_j q_j(x)^alpha_j with the block norms q_j computed numerically."""
+    offsets = borel_descriptor(p).block_offsets
+    return float(
+        np.prod([np.sum(x[o : o + size] ** 2) ** k for o, size, k in zip(offsets, p.parts, alpha)])
+    )
 
 
 def block_swap_map(p, a, b):
@@ -106,6 +120,41 @@ class TestInvariantSpace:
                 for _ in range(3):
                     x = RNG.standard_normal(p.n)
                     assert abs(poly_eval(poly, rot @ x) - poly_eval(poly, x)) < 1e-9
+
+
+class TestExpandedCoefficients:
+    @pytest.mark.parametrize(
+        "parts,d", [((2, 3, 4), 6), ((2, 2, 3, 3), 6), ((3, 5), 6), ((2, 3), 8)]
+    )
+    def test_invariant_basis_is_block_norm_monomials(self, parts, d):
+        p = P(parts)
+        rng = np.random.default_rng(11)
+        alphas = []
+        for poly in invariant_space(p, d).basis:
+            alpha = block_alpha(p, next(iter(poly)))
+            alphas.append(alpha)
+            for _ in range(3):
+                x = rng.standard_normal(p.n)
+                expected = norm_monomial_eval(p, alpha, x)
+                assert poly_eval(poly, x) == pytest.approx(expected, rel=1e-10, abs=1e-12)
+        every = [a for a in product(range(d // 2 + 1), repeat=p.length) if sum(a) <= d // 2]
+        assert sorted(alphas) == sorted(every)
+
+    def test_swap_basis_is_difference_of_monomials(self):
+        p = P((2, 2, 3))
+        rng = np.random.default_rng(12)
+        space = swap_antisymmetric_space(p, 1, 2, 6)
+        assert space.dim > 0
+        for poly in space.basis:
+            alpha = block_alpha(p, next(e for e, c in poly.items() if c > 0))
+            assert alpha[0] > alpha[1]
+            swapped = (alpha[1], alpha[0], alpha[2])
+            for _ in range(3):
+                x = rng.standard_normal(p.n)
+                q_alpha = norm_monomial_eval(p, alpha, x)
+                q_swapped = norm_monomial_eval(p, swapped, x)
+                expected = q_alpha - q_swapped
+                assert abs(poly_eval(poly, x) - expected) <= 1e-10 * (q_alpha + q_swapped)
 
 
 class TestIntertwiningSpace:
@@ -244,6 +293,12 @@ class TestVerifyPair:
         report = verify_pair(P((2, 6)), P((4, 4)), 6)
         assert report.passed and report.carrier_side == 2
         assert report.swaps[0] is None and report.swaps[1] == (1, 2)
+
+    def test_equal_blocks_outside_windows_fall_back_to_weyl(self):
+        # (4, 4) has its equal pair across a window and an agreement
+        report = verify_pair(P((2, 2, 4)), P((4, 4)), 6)
+        assert report.passed and report.carrier_side == 1
+        assert report.swaps == ((1, 2), (1, 2))
 
     def test_equal_partitions_rejected(self):
         with pytest.raises(DomainError):

@@ -19,7 +19,7 @@ from borelcensus import special
 from borelcensus.special import applicable_case
 
 P = Partition
-_double = special.double_partition
+_doubled = special._doubled
 
 
 class TestDoubling:
@@ -109,15 +109,15 @@ class TestFamilyChecks:
         "broken,message",
         [
             # the bases {1,1,1} and {1,2} give one member
-            (lambda b, n: _double(P((1, 2)) if b == P((1, 1, 1)) else b, n), "coincide"),
+            (lambda t, case: _doubled((1, 2) if t == (1, 1, 1) else t, case), "coincide"),
             # members of the wrong n, with a part 1, with a trivial Weyl group
-            (lambda b, _n: P(tuple(2 * v for v in b.parts) * 3), "violates"),
-            (lambda _b, n: P((1,) * n), "violates"),
-            (lambda _b, n: P((n,)), "violates"),
+            (lambda t, _case: tuple(2 * v for v in t) * 3, "violates"),
+            (lambda _t, _case: (1,) * 12, "violates"),
+            (lambda _t, _case: (12,), "violates"),
         ],
     )
     def test_broken_doubling_raises(self, monkeypatch, broken, message):
-        monkeypatch.setattr(special, "double_partition", broken)
+        monkeypatch.setattr(special, "_doubled", broken)
         with pytest.raises(InternalInvariantError, match=message):
             family(12)
 

@@ -11,7 +11,8 @@ Input budgets: `count N` takes N <= MAX_COUNT_N; `census N` enumerates
 P(N) partitions, `special N` P(M) base partitions, and `list N` P(N),
 P(N;1), Q(N) or Q(N;1) by --distinct and by whether --min-part is at
 least 2 (an upper bound for --min-part above 2).  Each refuses an input
-whose count exceeds MAX_ENUMERATED.
+whose count exceeds MAX_ENUMERATED.  `verify-inv` refuses a pair whose
+two fixed spaces have more than MAX_SPACE_DIMS dimensions together.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .flags import (
     orbit_length,
     weyl,
 )
-from .invverify import verify_pair
+from .invverify import pair_space_dims, verify_pair
 from .lieverify import DEFAULT_TOL, closure, block_algebra, transitive_on
 from .pairs import (
     Agreement,
@@ -40,7 +41,15 @@ from .pairs import (
     has_common_subpartition,
     is_transitive_pair,
 )
-from .partitions import Partition, count_p, enumerate_partitions, partition_counts
+from .partitions import (
+    Partition,
+    count_p,
+    count_p_ge2,
+    count_q,
+    count_q_ge2,
+    enumerate_partitions,
+    partition_counts,
+)
 from .published import PUBLISHED_P_LIST, p_list_errata, table_errata
 from .special import applicable_case, family, solutions_count
 
@@ -67,18 +76,32 @@ commands:
 
 MAX_COUNT_N = 10**5
 MAX_ENUMERATED = 10**6  # partitions that list, census and special may enumerate
+# dim U + dim W that verify-inv may build.  The largest measured input (dims
+# 574 + 1792, 28 refinement pieces) took 12 s and 0.5 GB on one core of a
+# 2-core x86 host, almost all of it in the float SVD that reports the margins.
+MAX_SPACE_DIMS = 2400
 
 
 class UsageError(Exception):
     pass
 
 
-def _check_enumeration_budget(command, n, count, size):
-    """Refuse when the named count (e.g. "P(61)") of partitions exceeds the budget."""
-    if size > MAX_ENUMERATED:
+def _check_enumeration_budget(request, n, count, label, bound=False):
+    """Refuse when count(n) exceeds the budget, without computing count past it.
+
+    P, P(;1), Q and Q(;1) are nondecreasing for N >= 2 (adding 1 to the
+    largest part is an injection), so count(n) is over the budget exactly
+    when n reaches the first N whose count is.  label formats a count's
+    name, e.g. "P({})"; bound says the count only bounds what is listed.
+    """
+    first = 2
+    while count(first) <= MAX_ENUMERATED:
+        first += 1
+    if n >= first:
         raise DomainError(
-            f"{command} {n} would enumerate {count} = {size} partitions, "
-            f"over the budget of {MAX_ENUMERATED}"
+            f"{request} would enumerate {'at most ' if bound else ''}{label.format(n)} "
+            f"partitions, over the budget of {MAX_ENUMERATED}: "
+            f"{label.format(first)} = {count(first)} is the first count over it"
         )
 
 
@@ -176,12 +199,11 @@ def _cmd_list(tokens):
     min_part = _pop_value(tokens, "--min-part", int, 1)
     distinct = _pop_flag(tokens, "--distinct")
     n = _one_int(tokens)
-    c = partition_counts(n)
     ge2 = min_part >= 2
-    size = (c.q_ge2 if ge2 else c.q) if distinct else (c.p_ge2 if ge2 else c.p)
-    count = f"{'Q' if distinct else 'P'}({n}{';1' if ge2 else ''})"
+    count = (count_q_ge2 if ge2 else count_q) if distinct else (count_p_ge2 if ge2 else count_p)
+    label = f"{'Q' if distinct else 'P'}({{}}{';1' if ge2 else ''})"
     # the parts >= 2 count only bounds the partitions with larger parts
-    _check_enumeration_budget("list", n, ("at most " if min_part > 2 else "") + count, size)
+    _check_enumeration_budget(f"list {n}", n, count, label, bound=min_part > 2)
     parts = enumerate_partitions(n, min_part, distinct)
     result = {
         "n": n,
@@ -237,7 +259,7 @@ def _cmd_orbit(tokens):
 
 def _cmd_census(tokens):
     n = _one_int(tokens)
-    _check_enumeration_budget("census", n, f"P({n})", count_p(n))
+    _check_enumeration_budget(f"census {n}", n, count_p, "P({})")
     c = class_census(n)
     result = {
         "n": n,
@@ -260,7 +282,7 @@ def _cmd_census(tokens):
 def _cmd_special(tokens):
     n = _one_int(tokens)
     m = applicable_case(n)[1]
-    _check_enumeration_budget("special", n, f"P({m})", count_p(m))
+    _check_enumeration_budget(f"special {n}", m, count_p, "P({})")
     fam = family(n)
     result = {
         "n": n,
@@ -385,6 +407,12 @@ def _cmd_verify_lie(tokens):
 def _cmd_verify_inv(tokens):
     degree = _pop_value(tokens, "--degree", int, 6)
     p1, p2 = _two_partitions(tokens)
+    dims = pair_space_dims(p1, p2, degree)
+    if sum(dims) > MAX_SPACE_DIMS:
+        raise DomainError(
+            f"verify-inv would build fixed spaces of dimensions {dims[0]} and {dims[1]}, "
+            f"over the budget of {MAX_SPACE_DIMS} in total"
+        )
     report = verify_pair(p1, p2, degree)
     inputs = {"left": list(p1.parts), "right": list(p2.parts), "degree": degree}
     result = {
@@ -396,6 +424,8 @@ def _cmd_verify_inv(tokens):
         "dims": list(report.dims),
         "intersection": report.intersection,
         "passed": report.passed,
+        "sv_kept_min": report.sv_kept_min,
+        "sv_dropped_max": report.sv_dropped_max,
     }
     plain = [
         f"window [{report.window_start}, {report.window_start + report.window_size}) "

@@ -10,19 +10,32 @@ that spaces attached to different partitions meet only in zero.
 The blocks are disjoint, so a block-norm monomial expands block by block:
 each coordinate monomial concatenates one term of every q_j^alpha_j, with
 the product of their multinomial coefficients.
+
+verify_pair decides exactly, without expanding to coordinates.  The cut
+points of both partitions split [0, n) into refinement pieces; every block
+norm of either partition is a sum of the piece sums s_k, and the s_k are
+algebraically independent, so both spaces embed injectively in
+Q[s_1..s_r] with integer coefficients.  Every basis element is homogeneous,
+so the intersection splits by weight, and each weight's rank is taken
+modulo a 61-bit prime: full rank there certifies full rank over Q, and a
+deficit is confirmed by elimination over the rationals before it is
+reported.  A float SVD of the same rows only reports the margins.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
-from itertools import permutations, product
-from math import factorial
+from itertools import product
+from math import comb, factorial, prod
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
-from .flags import SignRep, _signed_factors, nontrivial_factors, weyl
+from .errors import DomainError, InternalInvariantError, NumericalError
+from .flags import SignRep, _signed_factors, weyl
 from .lieverify import _rank
 from .pairs import decompose, first_window_with_involution, _window_swap
 from .partitions import Partition
@@ -37,11 +50,13 @@ __all__ = [
     "swap_antisymmetric_space",
     "intersection_dim",
     "invariant_dim_by_derivations",
+    "pair_space_dims",
     "verify_pair",
 ]
 
 DEGREE_CAP = 8
 RANK_TOL = 1e-8
+_PRIME = (1 << 61) - 1  # a rank mod p never exceeds the rank over Q
 
 
 @dataclass(frozen=True)
@@ -85,23 +100,31 @@ def _check_parts(p):
 
 
 @cache
-def _block_power(size, k):
-    """Terms of (x_1^2 + ... + x_size^2)^k as (block-local exponents, coefficient)."""
+def _block_power(size, k, step):
+    """Terms of (y_1 + ... + y_size)^k as (block-local exponents, coefficient).
+
+    Each y_i is a variable raised to the power step: 2 for the squared
+    coordinates of a block norm, 1 for refinement piece sums.
+    """
     terms = []
     for b in _alphas(size - 1, k):
         beta = (*b, k - sum(b))
         coeff = factorial(k)
         for v in beta:
             coeff //= factorial(v)
-        terms.append((tuple(2 * v for v in beta), float(coeff)))
+        terms.append((tuple(step * v for v in beta), coeff))
     return tuple(terms)
 
 
-def _norm_monomial(alpha, parts):
-    """prod_j q_j^alpha_j in coordinates, one concatenated term per block combination."""
+def _norm_monomial(alpha, sizes, step=2):
+    """prod_j (sum of block j's sizes[j] variables)^alpha_j, block by block.
+
+    With the default step the variables are the squared coordinates, so
+    this is q^alpha in coordinates; one term per block combination.
+    """
     poly = {}
-    for combo in product(*(_block_power(size, k) for size, k in zip(parts, alpha))):
-        e, c = (), 1.0
+    for combo in product(*(_block_power(size, k, step) for size, k in zip(sizes, alpha))):
+        e, c = (), 1
         for block_e, block_c in combo:
             e += block_e
             c *= block_c
@@ -109,6 +132,7 @@ def _norm_monomial(alpha, parts):
     return poly
 
 
+@cache
 def _alphas(r, wmax):
     """Exponent vectors over r block variables with total weight <= wmax."""
     out = []
@@ -121,7 +145,7 @@ def _alphas(r, wmax):
             rec(prefix + [v], budget - v)
 
     rec([], wmax)
-    return out
+    return tuple(out)
 
 
 def invariant_space(p: Partition, d: int) -> PolySubspace:
@@ -166,29 +190,54 @@ def _parity(perm):
     inversions = sum(
         1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j]
     )
-    return -1.0 if inversions % 2 else 1.0
+    return -1 if inversions % 2 else 1
+
+
+def _arrangements(entries):
+    """Each distinct ordering of a multiset once, in lexicographic order."""
+    arr = sorted(entries)
+    while True:
+        yield tuple(arr)
+        i = len(arr) - 2
+        while i >= 0 and arr[i] >= arr[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(arr) - 1
+        while arr[j] <= arr[i]:
+            j -= 1
+        arr[i], arr[j] = arr[j], arr[i]
+        arr[i + 1 :] = reversed(arr[i + 1 :])
 
 
 def _signed_orbit(alpha, groups):
-    """Accumulated exponent orbit under the per-group permutation action."""
+    """Exponent orbit of a canonical alpha under the per-group permutation action.
+
+    The weight of an orbit point is the signed count of the permutations
+    reaching it.  Each distinct arrangement of a delta=0 group is reached
+    by its whole stabiliser, prod count_v! permutations, all with sign +1;
+    a delta=1 group of a canonical alpha has distinct entries, so each
+    arrangement is one permutation, weighted by its parity.
+    """
     group_moves = []
     for slots, delta in groups:
         entries = [alpha[s] for s in slots]
-        moves = []
-        for perm in permutations(range(len(slots))):
-            arranged = tuple(entries[t] for t in perm)
-            moves.append((arranged, _parity(perm) if delta else 1.0))
+        if delta:
+            position = {v: t for t, v in enumerate(entries)}
+            moves = [(a, _parity([position[v] for v in a])) for a in _arrangements(entries)]
+        else:
+            stabiliser = prod(factorial(c) for c in Counter(entries).values())
+            moves = [(a, stabiliser) for a in _arrangements(entries)]
         group_moves.append((slots, moves))
     orbit = {}
     for combo in product(*(moves for _, moves in group_moves)):
         beta = list(alpha)
-        sign = 1.0
-        for (slots, _), (arranged, s) in zip(group_moves, combo):
+        weight = 1
+        for (slots, _), (arranged, w) in zip(group_moves, combo):
             for slot, v in zip(slots, arranged):
                 beta[slot] = v
-            sign *= s
-        beta = tuple(beta)
-        orbit[beta] = orbit.get(beta, 0.0) + sign
+            weight *= w
+        orbit[tuple(beta)] = weight
     return orbit
 
 
@@ -212,7 +261,7 @@ def intertwining_space(p: Partition, rho: SignRep, d: int) -> PolySubspace:
         poly = {}
         for beta, coeff in _signed_orbit(canon, groups).items():
             for e, val in _norm_monomial(beta, p.parts).items():
-                poly[e] = poly.get(e, 0.0) + coeff * val
+                poly[e] = poly.get(e, 0) + coeff * val
         basis.append(poly)
     return PolySubspace(n=p.n, degree_cap=d, basis=tuple(basis), dim=len(basis))
 
@@ -232,17 +281,27 @@ def swap_antisymmetric_space(p: Partition, block_a: int, block_b: int, d: int) -
         raise DomainError(f"block indices {block_a}, {block_b} out of range for {p}")
     if p.parts[a] != p.parts[b]:
         raise DomainError(f"blocks {block_a} and {block_b} of {p} differ in size")
+    basis = _swap_basis(p.length, a, b, d, lambda alpha: _norm_monomial(alpha, p.parts))
+    return PolySubspace(n=p.n, degree_cap=d, basis=tuple(basis), dim=len(basis))
+
+
+def _swap_basis(length, a, b, d, expand):
+    """q^alpha - q^alpha' for each alpha with alpha[a] > alpha[b] (0-based blocks).
+
+    alpha' is alpha with entries a and b exchanged, and expand writes a
+    block-norm monomial in the caller's variables.
+    """
     basis = []
-    for alpha in _alphas(p.length, d // 2):
+    for alpha in _alphas(length, d // 2):
         if alpha[a] <= alpha[b]:
             continue
         swapped = list(alpha)
         swapped[a], swapped[b] = swapped[b], swapped[a]
-        poly = _norm_monomial(alpha, p.parts)
-        for e, val in _norm_monomial(tuple(swapped), p.parts).items():
-            poly[e] = poly.get(e, 0.0) - val
+        poly = expand(alpha)
+        for e, val in expand(tuple(swapped)).items():
+            poly[e] = poly.get(e, 0) - val
         basis.append(poly)
-    return PolySubspace(n=p.n, degree_cap=d, basis=tuple(basis), dim=len(basis))
+    return basis
 
 
 def _coefficient_rows(polys):
@@ -260,10 +319,12 @@ def _coefficient_rows(polys):
     return rows
 
 
-def _intersection(s1, s2, rank_tol):
-    """(dim of the intersection, smallest kept, largest dropped singular value)."""
+def intersection_dim(s1: PolySubspace, s2: PolySubspace, rank_tol: float = RANK_TOL) -> int:
+    """dim(U and W) = dim U + dim W - rank [U; W] over the shared monomials."""
+    if s1.n != s2.n or s1.degree_cap != s2.degree_cap:
+        raise DomainError("subspaces must share the variable count and degree cap")
     if s1.dim == 0 or s2.dim == 0:
-        return 0, 0.0, 0.0
+        return 0
     rows = _coefficient_rows([*s1.basis, *s2.basis])
     # rows^T = QR with orthonormal columns in Q, so each side and the stack
     # have the singular values of their columns of the small R
@@ -272,15 +333,7 @@ def _intersection(s1, s2, rank_tol):
         rank = _rank(cols, rank_tol)[0]
         if rank != space.dim:
             raise NumericalError(f"subspace basis is rank-deficient: {rank} < {space.dim}")
-    rank, kept_min, dropped_max = _rank(r, rank_tol)
-    return s1.dim + s2.dim - rank, kept_min, dropped_max
-
-
-def intersection_dim(s1: PolySubspace, s2: PolySubspace, rank_tol: float = RANK_TOL) -> int:
-    """dim(U and W) = dim U + dim W - rank [U; W] over the shared monomials."""
-    if s1.n != s2.n or s1.degree_cap != s2.degree_cap:
-        raise DomainError("subspaces must share the variable count and degree cap")
-    return _intersection(s1, s2, rank_tol)[0]
+    return s1.dim + s2.dim - _rank(r, rank_tol)[0]
 
 
 def invariant_dim_by_derivations(p: Partition, d: int) -> int:
@@ -331,22 +384,100 @@ def invariant_dim_by_derivations(p: Partition, d: int) -> int:
     return len(mons) - _rank(ops, RANK_TOL)[0]
 
 
-def _side_space(p, swap, d):
-    if swap is None:
-        return intertwining_space(p, SignRep((0,) * len(nontrivial_factors(p))), d)
-    return swap_antisymmetric_space(p, swap[0], swap[1], d)
+def _sparse_rank(rows, prime=None):
+    """Rank of sparse integer rows {column: value} mod prime, or over Q when prime is None.
 
-
-def verify_pair(p1: Partition, p2: Partition, degree: int = 6) -> IndependenceReport:
-    """Check that the signed fixed-point spaces of two partitions meet in zero.
-
-    Replays the independence argument at polynomial scale: the first
-    window holding an equal pair supplies a swap acting only inside the
-    window; that side's space is antisymmetrized under it, the other side
-    under its own swap (from a window when possible, anywhere otherwise,
-    or not at all for a trivial Weyl group).  A nonzero intersection is
-    reported as a counterexample, never raised away.
+    Each pivot row is scaled to 1 at its smallest column, so eliminating
+    with it only touches larger columns.
     """
+    reduce = (lambda v: v % prime) if prime else Fraction
+    pivots = {}
+    for row in rows:
+        row = {c: reduce(v) for c, v in row.items()}
+        row = {c: v for c, v in row.items() if v}
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                inv = pow(row[col], -1, prime) if prime else 1 / row[col]
+                pivots[col] = {c: reduce(v * inv) for c, v in row.items()}
+                break
+            f = row[col]
+            for c, v in pivot.items():
+                x = reduce(row.get(c, 0) - f * v)
+                if x:
+                    row[c] = x
+                else:
+                    row.pop(c, None)
+    return len(pivots)
+
+
+def _refined_basis(p, swap, d, cuts):
+    """A side's basis in the refinement piece sums: swap-antisymmetric, or all of them."""
+    # the block [start, end) holds the pieces ending at the cuts in (start, end]
+    bounds = (0, *p.prefix_sums())
+    sizes = [bisect_right(cuts, e) - bisect_right(cuts, s) for s, e in zip(bounds, bounds[1:])]
+
+    def expand(alpha):
+        return _norm_monomial(alpha, sizes, step=1)
+
+    if swap is None:
+        return [expand(alpha) for alpha in _alphas(p.length, d // 2)]
+    return _swap_basis(p.length, swap[0] - 1, swap[1] - 1, d, expand)
+
+
+def _refined_intersection(p1, swap1, p2, swap2, d):
+    """Exact dim of the intersection of two sides' spaces, with the float margins.
+
+    Returns (dims, intersection, smallest kept, largest dropped singular
+    value).  A side with swap None spans every block-norm monomial.
+    """
+    cuts = sorted({*p1.prefix_sums(), *p2.prefix_sums()})
+    sides = (_refined_basis(p1, swap1, d, cuts), _refined_basis(p2, swap2, d, cuts))
+    by_weight = {}
+    for k, basis in enumerate(sides):
+        for poly in basis:
+            by_weight.setdefault(sum(next(iter(poly))), ([], []))[k].append(poly)
+    intersection, kept, dropped = 0, [], [0.0]
+    for u, w in by_weight.values():
+        stacked = u + w
+        # rank(stacked) <= rank(u) + rank(w), so full rank certifies both sides too
+        rank = _sparse_rank(stacked, _PRIME)
+        if rank < len(stacked):
+            # a deficit mod p can be p's alone: only ranks over Q are reported
+            if _sparse_rank(u) < len(u) or _sparse_rank(w) < len(w):
+                raise InternalInvariantError("a fixed-space basis is linearly dependent")
+            rank = _sparse_rank(stacked)
+        intersection += len(stacked) - rank
+        float_rank, kept_min, dropped_max = _rank(_coefficient_rows(stacked), RANK_TOL)
+        if float_rank != rank:
+            raise InternalInvariantError(
+                f"float rank {float_rank} disagrees with the exact rank {rank}"
+            )
+        if float_rank:
+            kept.append(kept_min)
+        dropped.append(dropped_max)
+    dims = (len(sides[0]), len(sides[1]))
+    return dims, intersection, min(kept, default=0.0), max(dropped)
+
+
+def _space_dim(p, swap, d):
+    """Closed-form dim of a side's space, before any basis is built.
+
+    Stars and bars for all block-norm monomials; with a swap (a, b), half
+    of those whose entries a and b differ.
+    """
+    length, w = p.length, d // 2
+    total = comb(length + w, length)
+    if swap is None:
+        return total
+    # alpha[a] == alpha[b] == t leaves length - 2 entries of weight <= w - 2t
+    equal = sum(comb(length - 2 + w - 2 * t, length - 2) for t in range(w // 2 + 1))
+    return (total - equal) // 2
+
+
+def _plan(p1, p2, degree):
+    """Validated window plan and each side's swap, as verify_pair uses them."""
     _check_parts(p1)
     _check_parts(p2)
     if p1 == p2:
@@ -366,12 +497,29 @@ def verify_pair(p1: Partition, p2: Partition, degree: int = 6) -> IndependenceRe
         else:
             invs = weyl(p).involutions
             swaps.append((invs[0].block_a, invs[0].block_b) if invs else None)
+    return plan, tuple(swaps)
 
-    s1 = _side_space(p1, swaps[0], degree)
-    s2 = _side_space(p2, swaps[1], degree)
 
-    inter, kept_min, dropped_max = _intersection(s1, s2, RANK_TOL)
+def pair_space_dims(p1: Partition, p2: Partition, degree: int = 6) -> tuple:
+    """Dimensions of the two spaces verify_pair would build, in closed form."""
+    swaps = _plan(p1, p2, degree)[1]
+    return tuple(_space_dim(p, swap, degree) for p, swap in zip((p1, p2), swaps))
 
+
+def verify_pair(p1: Partition, p2: Partition, degree: int = 6) -> IndependenceReport:
+    """Check that the signed fixed-point spaces of two partitions meet in zero.
+
+    Replays the independence argument at polynomial scale: the first
+    window holding an equal pair supplies a swap acting only inside the
+    window; that side's space is antisymmetrized under it, the other side
+    under its own swap (from a window when possible, anywhere otherwise,
+    or not at all for a trivial Weyl group).  The intersection is exact
+    (see the module docstring); the singular-value margins come from the
+    same rows in floating point.  A nonzero intersection is reported as a
+    counterexample, never raised away.
+    """
+    plan, swaps = _plan(p1, p2, degree)
+    dims, inter, kept_min, dropped_max = _refined_intersection(p1, swaps[0], p2, swaps[1], degree)
     return IndependenceReport(
         p1=p1,
         p2=p2,
@@ -379,8 +527,8 @@ def verify_pair(p1: Partition, p2: Partition, degree: int = 6) -> IndependenceRe
         window_start=plan.window.start,
         window_size=plan.window.size,
         carrier_side=plan.side,
-        swaps=tuple(swaps),
-        dims=(s1.dim, s2.dim),
+        swaps=swaps,
+        dims=dims,
         intersection=inter,
         passed=inter == 0,
         sv_kept_min=kept_min,

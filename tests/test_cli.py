@@ -20,6 +20,19 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def run_module(*argv, timeout=None):
+    """Run `python -m borelcensus.cli` in a fresh process on the package's src."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "borelcensus.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=timeout,
+    )
+
+
 def run_json(argv):
     code, out, err = run(argv + ["--json"])
     assert code == 0, err
@@ -144,6 +157,8 @@ class TestCommands:
         env = run_json(["verify-inv", "4", "4", "--", "2", "2", "2", "2", "--degree", "6"])
         assert env["result"]["passed"] is True
         assert env["result"]["intersection"] == 0
+        assert env["result"]["sv_kept_min"] > 1e-8
+        assert env["result"]["sv_dropped_max"] < 1e-9
         assert min(env["result"]["dims"]) >= 1
 
     def test_nodal(self):
@@ -233,9 +248,25 @@ class TestExitCodes:
         assert code == 1 and not out
         assert "P(61) = 1121505" in err and "budget" in err
         err = run(["list", "80", "--min-part", "3"])[2]
-        assert "at most P(80;1) = 1947826" in err
+        assert "at most P(80;1) partitions" in err and "P(75;1) = 1028764" in err
         assert run_json(["list", "61", "--distinct"])["result"]["count"] == "12076"
-        assert run(["special", "250"])[2].count("P(62) =") == 1
+        err = run(["special", "250"])[2]
+        assert "special 250 would enumerate P(62)" in err and "P(61) = 1121505" in err
+
+    @pytest.mark.parametrize(
+        "argv", [["census", "200000"], ["list", "200000"], ["special", "800003"]]
+    )
+    def test_budgets_refuse_huge_n_at_once(self, argv):
+        # the counts are nondecreasing, so the budget check stops at the first N over it
+        proc = run_module(*argv, timeout=10)
+        assert proc.returncode == 1 and not proc.stdout
+        assert "P(61) = 1121505 is the first count over it" in proc.stderr
+
+    def test_verify_inv_budget_states_both_dims(self):
+        left, right = ["2"] * 24, ["4"] * 12
+        code, out, err = run(["verify-inv", *left, "--", *right, "--degree", "8"])
+        assert code == 1 and not out
+        assert "2624 and 376" in err and str(cli.MAX_SPACE_DIMS) in err
 
     def test_internal_invariant_exit_4(self, monkeypatch):
         real = flags.partition_counts
@@ -251,19 +282,8 @@ class TestExitCodes:
 
 
 def test_installed_entry_point():
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-
-    def main(*argv):
-        return subprocess.run(
-            [sys.executable, "-m", "borelcensus.cli", *argv],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
-
-    proc = main("count", "6", "--json")
+    proc = run_module("count", "6", "--json")
     assert proc.returncode == 0
     env = json.loads(proc.stdout)
     assert env["result"]["p"] == "11"
-    assert main("count", "0").returncode == 1
+    assert run_module("count", "0").returncode == 1

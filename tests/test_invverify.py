@@ -1,6 +1,6 @@
 """Polynomial fixed-space surrogate: dimensions, intersections, independence."""
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb
 
 import numpy as np
@@ -9,6 +9,7 @@ import pytest
 from borelcensus import (
     DomainError,
     IndeterminateError,
+    InternalInvariantError,
     NumericalError,
     Partition,
     SignRep,
@@ -17,9 +18,11 @@ from borelcensus import (
     intertwining_space,
     invariant_dim_by_derivations,
     invariant_space,
+    pair_space_dims,
     swap_antisymmetric_space,
     verify_pair,
 )
+from borelcensus import invverify
 from borelcensus.invverify import PolySubspace
 from borelcensus.flags import borel_descriptor
 
@@ -62,6 +65,45 @@ def norm_monomial_eval(p, alpha, x):
     return float(
         np.prod([np.sum(x[o : o + size] ** 2) ** k for o, size, k in zip(offsets, p.parts, alpha)])
     )
+
+
+def _parity(perm):
+    inversions = sum(1 for i, j in combinations(range(len(perm)), 2) if perm[i] > perm[j])
+    return -1.0 if inversions % 2 else 1.0
+
+
+def _signed_orbit_by_permutations(alpha, groups):
+    """Reference orbit: every permutation of every group, m! per group, accumulated."""
+    group_moves = []
+    for slots, delta in groups:
+        entries = [alpha[s] for s in slots]
+        moves = []
+        for perm in permutations(range(len(slots))):
+            arranged = tuple(entries[t] for t in perm)
+            moves.append((arranged, _parity(perm) if delta else 1.0))
+        group_moves.append((slots, moves))
+    orbit = {}
+    for combo in product(*(moves for _, moves in group_moves)):
+        beta = list(alpha)
+        sign = 1.0
+        for (slots, _), (arranged, s) in zip(group_moves, combo):
+            for slot, v in zip(slots, arranged):
+                beta[slot] = v
+            sign *= s
+        beta = tuple(beta)
+        orbit[beta] = orbit.get(beta, 0.0) + sign
+    return orbit
+
+
+def first_equal_pair(p):
+    """The first two adjacent equal blocks of p, 1-based."""
+    i = next(i for i in range(p.length - 1) if p.parts[i] == p.parts[i + 1])
+    return i + 1, i + 2
+
+
+def coordinate_space(p, swap, d):
+    """A verify_pair side built in coordinates: swap-antisymmetric, or every invariant."""
+    return invariant_space(p, d) if swap is None else swap_antisymmetric_space(p, *swap, d)
 
 
 def block_swap_map(p, a, b):
@@ -207,6 +249,45 @@ class TestIntertwiningSpace:
         with pytest.raises(DomainError):
             intertwining_space(P((2, 2, 3, 3)), SignRep((1,)), 4)
 
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_orbit_matches_permutation_reference(self, m):
+        # every group of multiplicity m at weights <= 4 (degrees <= 8); the
+        # delta=1 orbit is only taken of canonical alphas, whose entries differ
+        for alpha in product(range(5), repeat=m):
+            if sum(alpha) > 4:
+                continue
+            groups = [(tuple(range(m)), 0)]
+            assert invverify._signed_orbit(alpha, groups) == _signed_orbit_by_permutations(
+                alpha, groups
+            )
+            if len(set(alpha)) == m:
+                groups = [(tuple(range(m)), 1)]
+                assert invverify._signed_orbit(alpha, groups) == _signed_orbit_by_permutations(
+                    alpha, groups
+                )
+
+    def test_orbit_of_several_groups_matches_reference(self):
+        p = P((2, 2, 2, 3, 3, 5))
+        for deltas in product((0, 1), repeat=2):
+            groups = invverify._value_groups(p, SignRep(deltas))
+            for alpha in invverify._alphas(p.length, 4):
+                canon = invverify._canonical(alpha, groups)
+                if canon is not None:
+                    assert invverify._signed_orbit(
+                        canon, groups
+                    ) == _signed_orbit_by_permutations(canon, groups)
+
+    def test_ten_equal_blocks(self):
+        # symmetric polynomials in ten block norms of weight <= 3: the
+        # partitions of 0, 1, 2, 3, i.e. 1 + 1 + 2 + 3
+        p = P((2,) * 10)
+        space = intertwining_space(p, SignRep((0,)), 6)
+        assert space.dim == 7
+        x = RNG.standard_normal(p.n)
+        perm = block_swap_map(p, 1, 10)
+        for poly in space.basis:
+            assert poly_eval(poly, x[perm]) == pytest.approx(poly_eval(poly, x), rel=1e-10)
+
 
 class TestSwapSpace:
     def test_dimension_single_swap(self):
@@ -311,3 +392,114 @@ class TestVerifyPair:
     def test_degree_validation(self):
         with pytest.raises(DomainError):
             verify_pair(P((4, 4)), P((2, 2, 2, 2)), 5)
+
+    def test_reports_margins(self):
+        report = verify_pair(P((4, 4)), P((2, 2, 2, 2)), 6)
+        assert report.sv_kept_min > invverify.RANK_TOL
+        assert report.sv_dropped_max < invverify.RANK_TOL / 10
+
+    @pytest.mark.parametrize("d", [4, 6])
+    def test_exact_path_matches_float_oracle(self, d):
+        for n in range(8, 17):
+            for p1, p2 in combinations(family(n).members, 2):
+                report = verify_pair(p1, p2, d)
+                s1 = coordinate_space(p1, report.swaps[0], d)
+                s2 = coordinate_space(p2, report.swaps[1], d)
+                assert report.dims == (s1.dim, s2.dim) == pair_space_dims(p1, p2, d)
+                assert report.intersection == intersection_dim(s1, s2), (p1, p2)
+
+    def test_families_pairwise_at_28_and_32(self):
+        for n in (28, 32):
+            for p1, p2 in combinations(family(n).members, 2):
+                report = verify_pair(p1, p2, 6)
+                assert report.passed, (p1, p2, report)
+                assert min(report.dims) >= 1
+
+
+@pytest.fixture
+def primes_used(monkeypatch):
+    """The prime of every _sparse_rank call, None for one over the rationals."""
+    used = []
+    real = invverify._sparse_rank
+
+    def spy(rows, prime=None):
+        used.append(prime)
+        return real(rows, prime)
+
+    monkeypatch.setattr(invverify, "_sparse_rank", spy)
+    return used
+
+
+class TestFixedSwaps:
+    """Independence needs the window-local swaps of verify_pair.
+
+    Giving every member its first equal pair as a fixed swap instead, some
+    family pairs meet: these rank deficits go through the confirmation
+    over the rationals.
+    """
+
+    @pytest.mark.parametrize(
+        "a,b,meet",
+        [
+            ((2,) * 6, (2, 2, 4, 4), 11),
+            ((2,) * 8, (2, 2, 2, 2, 4, 4), 22),
+            ((2,) * 8, (2, 2, 6, 6), 11),
+            ((2, 2, 2, 2, 4, 4), (2, 2, 6, 6), 7),
+        ],
+    )
+    def test_first_pair_swaps_meet(self, a, b, meet, primes_used):
+        p1, p2 = P(a), P(b)
+        swap1, swap2 = first_equal_pair(p1), first_equal_pair(p2)
+        dims, inter, _kept, _dropped = invverify._refined_intersection(p1, swap1, p2, swap2, 6)
+        assert inter == meet
+        assert None in primes_used
+        s1 = swap_antisymmetric_space(p1, *swap1, 6)
+        s2 = swap_antisymmetric_space(p2, *swap2, 6)
+        assert dims == (s1.dim, s2.dim)
+        assert intersection_dim(s1, s2) == meet
+
+    def test_all_first_pair_swaps_at_twelve(self):
+        members = family(12).members
+        meeting = []
+        for p1, p2 in combinations(members, 2):
+            inter = invverify._refined_intersection(
+                p1, first_equal_pair(p1), p2, first_equal_pair(p2), 6
+            )[1]
+            if inter:
+                meeting.append((p1.parts, p2.parts, inter))
+            assert verify_pair(p1, p2, 6).passed
+        assert meeting == [((2,) * 6, (2, 2, 4, 4), 11)]
+
+
+class TestExactChecks:
+    def test_deficit_mod_p_is_confirmed_over_q(self, monkeypatch, primes_used):
+        # mod 2 the multinomial coefficients 2 vanish and the rank drops;
+        # the rank over Q still decides
+        monkeypatch.setattr(invverify, "_PRIME", 2)
+        for p1, p2 in combinations(family(16).members, 2):
+            report = verify_pair(p1, p2, 6)
+            assert report.passed and report.intersection == 0
+        assert None in primes_used
+
+    def test_full_rank_mod_p_needs_no_rationals(self, primes_used):
+        for p1, p2 in combinations(family(16).members, 2):
+            verify_pair(p1, p2, 6)
+        assert primes_used and None not in primes_used
+
+    def test_float_exact_disagreement_raises(self, monkeypatch):
+        real = invverify._rank
+        monkeypatch.setattr(invverify, "_rank", lambda m, tol: (real(m, tol)[0] - 1, 1.0, 0.0))
+        with pytest.raises(InternalInvariantError, match="disagrees"):
+            verify_pair(P((4, 4)), P((2, 2, 2, 2)), 6)
+
+    def test_dependent_basis_raises(self, monkeypatch):
+        real = invverify._swap_basis
+        monkeypatch.setattr(invverify, "_swap_basis", lambda *args: 2 * real(*args))
+        with pytest.raises(InternalInvariantError, match="linearly dependent"):
+            verify_pair(P((4, 4)), P((2, 2, 2, 2)), 6)
+
+    def test_sparse_rank_over_q_and_mod_p(self):
+        rows = [{0: 2, 1: 4}, {0: 1, 1: 2}, {1: 3}]
+        assert invverify._sparse_rank(rows) == 2
+        assert invverify._sparse_rank(rows, invverify._PRIME) == 2
+        assert invverify._sparse_rank(rows, 3) == 1

@@ -12,7 +12,9 @@ P(N) partitions, `special N` P(M) base partitions, and `list N` P(N),
 P(N;1), Q(N) or Q(N;1) by --distinct and by whether --min-part is at
 least 2 (an upper bound for --min-part above 2).  Each refuses an input
 whose count exceeds MAX_ENUMERATED.  `verify-inv` refuses a pair whose
-two fixed spaces have more than MAX_SPACE_DIMS dimensions together.
+two fixed spaces have more than MAX_SPACE_DIMS dimensions together, and
+`verify-lie` a pair of partitions of N > MAX_LIE_N, before it builds any
+matrix; its --tol must lie in [1e-12, 1e-3].
 """
 
 from __future__ import annotations
@@ -80,6 +82,10 @@ MAX_ENUMERATED = 10**6  # partitions that list, census and special may enumerate
 # 574 + 1792, 28 refinement pieces) took 12 s and 0.5 GB on one core of a
 # 2-core x86 host, almost all of it in the float SVD that reports the margins.
 MAX_SPACE_DIMS = 2400
+# N that verify-lie may close.  On one core of a 2-core x86 host 16 16 -- 32
+# took 9.6 s and 20 20 -- 40 took 49 s; the closure alone preallocates
+# N(N-1)/2 x N^2 floats, 0.4 GB at N = 100.
+MAX_LIE_N = 32
 
 
 class UsageError(Exception):
@@ -368,6 +374,8 @@ def _cmd_verify_lie(tokens):
     with_matrices = _pop_flag(tokens, "--matrices")
     p1, p2 = _two_partitions(tokens)
     group = generated_group(p1, p2)
+    if p1.n > MAX_LIE_N:
+        raise DomainError(f"verify-lie takes N <= {MAX_LIE_N}, got N = {p1.n}")
     c = closure(block_algebra(p1), block_algebra(p2), tol)
     full = transitive_on(c, (0, p1.n))
     predicted = is_transitive_pair(p1, p2)

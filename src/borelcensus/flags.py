@@ -1,12 +1,12 @@
 """Classification of orthogonal partial flags and maximal block subgroups.
 
-A flag class is determined by its partition's multiplicity profile; the
-Weyl group of the associated block subgroup O(N_1) x ... x O(N_r) is the
-product of symmetric groups permuting equal-size blocks.  This module
-computes the profile, the equivalence test, orbit lengths, Weyl
-descriptors, the class census, the static classification of connected
-groups transitive on spheres, and the fixed subspaces contributing to
-nodal sets.
+A flag class is its canonical (non-decreasing) partition; the Weyl group
+of the associated block subgroup O(N_1) x ... x O(N_r) is the product of
+symmetric groups permuting equal-size blocks, one per entry of the
+multiplicity profile.  This module computes the profile, the equivalence
+test, orbit lengths, Weyl descriptors, the class census, the static
+classification of connected groups transitive on spheres, and the fixed
+subspaces contributing to nodal sets.
 
 Block indices exposed here (InvolutionSpec, phi_indices, nodal subspaces)
 are 1-based positions in the canonical non-decreasing partition.
@@ -45,7 +45,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MultiplicityProfile:
-    """Part value -> multiplicity, the complete flag-equivalence invariant.
+    """Part value -> multiplicity: the Weyl factors of a flag class.
 
     counts holds (value, multiplicity) pairs sorted by value; values not
     listed have multiplicity 0.
@@ -95,7 +95,6 @@ class BorelDescriptor:
     """A maximal block subgroup in its standard frame."""
 
     partition: Partition
-    kind: str  # "full" -> O(N_j) blocks, "connected" -> SO(N_j) blocks
     block_offsets: tuple  # starting coordinate of each block
 
     @property
@@ -159,10 +158,10 @@ def phi_indices(p: Partition, value: int) -> frozenset:
 
 
 def equivalent(p1: Partition, p2: Partition) -> bool:
-    """Whether two partitions define equivalent flags (conjugate subgroups)."""
+    """Whether two flags are equivalent (conjugate subgroups): their canonical partitions agree."""
     if p1.n != p2.n:
         raise DomainError(f"partitions of different numbers: {p1.n} vs {p2.n}")
-    return profile(p1) == profile(p2)
+    return p1 == p2
 
 
 def orbit_length(p: Partition) -> int:
@@ -288,14 +287,10 @@ def nodal_subspaces(p: Partition, rho: SignRep) -> list:
     return out
 
 
-def borel_descriptor(p: Partition, kind: str = "full") -> BorelDescriptor:
-    """Standard-frame descriptor; "connected" demands every block size >= 2."""
-    if kind not in ("full", "connected"):
-        raise DomainError(f"kind must be 'full' or 'connected', got {kind!r}")
-    if kind == "connected" and p.min_part < 2:
-        raise DomainError("connected block groups need every part >= 2")
+def borel_descriptor(p: Partition) -> BorelDescriptor:
+    """Standard-frame descriptor: the block group and each block's first coordinate."""
     offsets, acc = [], 0
     for v in p.parts:
         offsets.append(acc)
         acc += v
-    return BorelDescriptor(partition=p, kind=kind, block_offsets=tuple(offsets))
+    return BorelDescriptor(partition=p, block_offsets=tuple(offsets))

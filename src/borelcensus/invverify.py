@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DomainError, InternalInvariantError, NumericalError
 from .flags import SignRep, _signed_factors, weyl
-from .lieverify import _rank
+from .lieverify import DEFAULT_RANK_TOL as RANK_TOL, _rank
 from .pairs import decompose, first_window_with_involution, _window_swap
 from .partitions import Partition
 
@@ -55,7 +55,6 @@ __all__ = [
 ]
 
 DEGREE_CAP = 8
-RANK_TOL = 1e-8
 _PRIME = (1 << 61) - 1  # a rank mod p never exceeds the rank over Q
 
 
@@ -319,7 +318,7 @@ def _coefficient_rows(polys):
     return rows
 
 
-def intersection_dim(s1: PolySubspace, s2: PolySubspace, rank_tol: float = RANK_TOL) -> int:
+def intersection_dim(s1: PolySubspace, s2: PolySubspace) -> int:
     """dim(U and W) = dim U + dim W - rank [U; W] over the shared monomials."""
     if s1.n != s2.n or s1.degree_cap != s2.degree_cap:
         raise DomainError("subspaces must share the variable count and degree cap")
@@ -330,10 +329,10 @@ def intersection_dim(s1: PolySubspace, s2: PolySubspace, rank_tol: float = RANK_
     # have the singular values of their columns of the small R
     r = np.linalg.qr(rows.T, mode="r")
     for cols, space in ((r[:, : s1.dim], s1), (r[:, s1.dim :], s2)):
-        rank = _rank(cols, rank_tol)[0]
+        rank = _rank(cols, RANK_TOL)[0]
         if rank != space.dim:
             raise NumericalError(f"subspace basis is rank-deficient: {rank} < {space.dim}")
-    return s1.dim + s2.dim - _rank(r, rank_tol)[0]
+    return s1.dim + s2.dim - _rank(r, RANK_TOL)[0]
 
 
 def invariant_dim_by_derivations(p: Partition, d: int) -> int:

@@ -34,6 +34,7 @@ DEFAULT_TOL = 1e-9
 DEFAULT_RANK_TOL = 1e-8
 _PROBE_SEED = 62831853  # fixed so every run draws the same test vector
 _SKEW_TOL = 1e-12  # also the smallest closure tol: float noise sits near 1e-16
+_MAX_TOL = 1e-3  # largest closure tol: genuine new directions have norm near 0.7
 _BATCH_FLOATS = 1 << 16  # brackets formed per matmul, in floats; bounds peak memory
 
 
@@ -150,11 +151,14 @@ def closure(b1: SkewBasis, b2: SkewBasis, tol: float = DEFAULT_TOL) -> LieClosur
     the previous round's new elements against G, since left-normed
     brackets of G span the generated algebra, and accepts the new
     directions.  A residual inside [tol/10, tol] raises IndeterminateError.
+    tol must lie in [1e-12, 1e-3]: below, rounding noise passes for new
+    directions; far above, genuine ones (norm near 0.7) are dropped and any
+    input passes the skew check.
     """
     if b1.n != b2.n:
         raise DomainError(f"bases live in different dimensions: {b1.n} vs {b2.n}")
-    if not tol >= _SKEW_TOL:
-        raise DomainError(f"tol must be at least {_SKEW_TOL:.0e}, got {tol!r}")
+    if not _SKEW_TOL <= tol <= _MAX_TOL:
+        raise DomainError(f"tol must lie in [{_SKEW_TOL:.0e}, {_MAX_TOL:.0e}], got {tol!r}")
     n = b1.n
     for which, b in (("first", b1), ("second", b2)):
         if not len(b.elements):
@@ -179,7 +183,7 @@ def closure(b1: SkewBasis, b2: SkewBasis, tol: float = DEFAULT_TOL) -> LieClosur
     return LieClosure(basis=basis, dimension=m, iterations=rounds, tol=tol)
 
 
-def transitive_on(c: LieClosure, window, rank_tol: float = DEFAULT_RANK_TOL) -> bool:
+def transitive_on(c: LieClosure, window) -> bool:
     """Whether the closed algebra's group is transitive on the window's sphere.
 
     window is a half-open coordinate range (lo, hi); every basis element
@@ -210,7 +214,7 @@ def transitive_on(c: LieClosure, window, rank_tol: float = DEFAULT_RANK_TOL) -> 
     x2[lo:hi] = v / np.linalg.norm(v)
 
     # elements @ x holds one row of velocities per basis element
-    verdicts = [_rank((elements @ x)[:, lo:hi], rank_tol)[0] == dim - 1 for x in (x1, x2)]
+    verdicts = [_rank((elements @ x)[:, lo:hi], DEFAULT_RANK_TOL)[0] == dim - 1 for x in (x1, x2)]
     if verdicts[0] != verdicts[1]:
         raise ProbeDisagreementError(
             f"tangent-rank probes disagree on window {window}: {verdicts}"
@@ -238,7 +242,7 @@ def swap_matrix(p: Partition, inv: InvolutionSpec) -> np.ndarray:
     return t
 
 
-def involution_normalizes(p: Partition, inv: InvolutionSpec, tol: float = DEFAULT_TOL) -> bool:
+def involution_normalizes(p: Partition, inv: InvolutionSpec) -> bool:
     """Check T X T^-1 stays in the block algebra's span for every basis X."""
     t = swap_matrix(p, inv)
     if np.max(np.abs(t @ t - np.eye(p.n))) > 0:
@@ -248,6 +252,6 @@ def involution_normalizes(p: Partition, inv: InvolutionSpec, tol: float = DEFAUL
     for x in basis.elements:
         y = (t @ x @ t).ravel()
         resid = y - flat.T @ (flat @ y)
-        if np.linalg.norm(resid) > tol:
+        if np.linalg.norm(resid) > DEFAULT_TOL:
             return False
     return True

@@ -81,7 +81,6 @@ class GroupStructure:
 
     n: int
     factors: tuple  # ((size, "agreement" | "window"), ...)
-    kind: str  # "full" | "connected"
     lie_dimension: int
 
     @property
@@ -161,23 +160,21 @@ def decompose(p1: Partition, p2: Partition) -> PairDecomposition:
     return PairDecomposition(n=p1.n, segments=tuple(segments))
 
 
-def generated_group(p1: Partition, p2: Partition, kind: str = "full") -> GroupStructure:
+def generated_group(p1: Partition, p2: Partition) -> GroupStructure:
     """Factors of the generated group: shared blocks survive, windows fuse."""
-    if kind not in ("full", "connected"):
-        raise DomainError(f"kind must be 'full' or 'connected', got {kind!r}")
     dec = decompose(p1, p2)
     factors = tuple(
         (seg.part, "agreement") if isinstance(seg, Agreement) else (seg.size, "window")
         for seg in dec.segments
     )
     lie_dim = sum(s * (s - 1) // 2 for s, _ in factors)
-    return GroupStructure(n=p1.n, factors=factors, kind=kind, lie_dimension=lie_dim)
+    return GroupStructure(n=p1.n, factors=factors, lie_dimension=lie_dim)
 
 
 def is_transitive_pair(p1: Partition, p2: Partition) -> bool:
     """Whether the two block groups jointly act transitively on the sphere.
 
-    Three equivalent computations (different partitions with no common
+    Two equivalent computations (different partitions with no common
     proper prefix sum; a single window factor of full size) are evaluated
     and must agree.
     """

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError, UnsupportedDimensionError
-from .flags import profile
 from .partitions import Partition, _tuples, count_p
 
 __all__ = ["SpecialFamily", "applicable_case", "double_partition", "family", "solutions_count"]
@@ -73,16 +72,15 @@ def double_partition(base: Partition, n: int) -> Partition:
 def family(n: int) -> SpecialFamily:
     """The full family at dimension n, with its invariants re-verified.
 
-    Flag classes are multiplicity profiles, so the members are pairwise
-    non-equivalent exactly when their profiles are pairwise distinct.
+    A flag class is its canonical partition, so the members are pairwise
+    non-equivalent exactly when they are pairwise distinct.
     """
     case, m = applicable_case(n)
     members = tuple(Partition(_doubled(t, case)) for t in _tuples(m, 1, False))
-    profiles = [profile(p) for p in members]
-    for p, prof in zip(members, profiles):
-        if prof.n != n or p.min_part < 2 or all(mult < 2 for _, mult in prof.counts):
+    for p in members:
+        if p.n != n or p.min_part < 2 or len(set(p.parts)) == p.length:
             raise InternalInvariantError(f"double partition {p} violates the construction")
-    if len(set(profiles)) != len(members):
+    if len(set(members)) != len(members):
         raise InternalInvariantError(f"two members of the family at n={n} coincide")
     if len(members) != count_p(m):
         raise InternalInvariantError(f"family size {len(members)} != P({m})")

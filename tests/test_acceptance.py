@@ -122,11 +122,12 @@ def structure_sweep():
 
 def test_criterion_6_structure_oracle_equivalence(structure_sweep):
     with Criterion(6, "closure == exact structure, n <= 10", budget=120.0):
+        assert bc.lieverify.DEFAULT_RANK_TOL == RANK_TOL
         assert len(structure_sweep) == 129
         for n, p1, p2, c in structure_sweep:
             predicted = bc.generated_group(p1, p2)
             assert c.dimension == predicted.lie_dimension, (p1, p2)
-            numeric = bc.transitive_on(c, (0, n), RANK_TOL)
+            numeric = bc.transitive_on(c, (0, n))
             assert numeric == bc.is_transitive_pair(p1, p2), (p1, p2)
 
 
@@ -135,7 +136,7 @@ def test_criterion_7_window_transitivity(structure_sweep):
         windows = 0
         for _n, p1, p2, c in structure_sweep:
             for w in bc.decompose(p1, p2).windows:
-                assert bc.transitive_on(c, (w.start, w.start + w.size), RANK_TOL), (p1, p2, w)
+                assert bc.transitive_on(c, (w.start, w.start + w.size)), (p1, p2, w)
                 windows += 1
         assert windows > 0
 

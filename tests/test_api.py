@@ -1,0 +1,34 @@
+"""Public surface: every exported name resolves, and no per-call tolerance knobs."""
+
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import borelcensus as bc
+from borelcensus import invverify, lieverify
+
+MODULES = [bc] + [
+    importlib.import_module(f"borelcensus.{info.name}")
+    for info in pkgutil.iter_modules(bc.__path__)
+]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_all_names_resolve(module):
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert not missing, f"{module.__name__}.__all__ names missing attributes: {missing}"
+
+
+def test_one_rank_threshold_and_no_tolerance_options():
+    assert invverify.RANK_TOL is lieverify.DEFAULT_RANK_TOL
+    for fn in (
+        bc.generated_group,
+        bc.borel_descriptor,
+        bc.intersection_dim,
+        bc.transitive_on,
+        bc.involution_normalizes,
+    ):
+        params = set(inspect.signature(fn).parameters)
+        assert not params & {"kind", "rank_tol", "tol"}, (fn.__name__, params)

@@ -207,6 +207,9 @@ class TestExitCodes:
             ["pair", "1", "3", "--", "2", "2"],
             ["verify-inv", "2", "2", "--", "2", "2"],
             ["verify-lie", "2", "2", "4", "--", "2", "6", "--tol", "1e-40"],
+            ["verify-lie", "2", "2", "--", "4", "--tol", "inf"],
+            ["verify-lie", "2", "2", "--", "4", "--tol", "1e300"],
+            ["verify-lie", "17", "16", "--", "33"],
             ["census", "61"],
             ["list", "61"],
             ["special", "250"],
@@ -267,6 +270,16 @@ class TestExitCodes:
         code, out, err = run(["verify-inv", *left, "--", *right, "--degree", "8"])
         assert code == 1 and not out
         assert "2624 and 376" in err and str(cli.MAX_SPACE_DIMS) in err
+
+    def test_verify_lie_budget_refuses_before_building(self, monkeypatch):
+        def boom(*_args, **_kwargs):
+            raise AssertionError("verify-lie built matrices for an input over its budget")
+
+        monkeypatch.setattr(cli, "block_algebra", boom)
+        monkeypatch.setattr(cli, "closure", boom)
+        code, out, err = run(["verify-lie", "17", "16", "--", "33"])
+        assert code == 1 and not out
+        assert f"N <= {cli.MAX_LIE_N}" in err and "N = 33" in err
 
     def test_internal_invariant_exit_4(self, monkeypatch):
         real = flags.partition_counts

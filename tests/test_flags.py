@@ -199,8 +199,3 @@ class TestBorelDescriptor:
         d = borel_descriptor(P((2, 3, 3)))
         assert d.block_offsets == (0, 2, 5)
         assert d.lie_dimension == 1 + 3 + 3
-
-    def test_connected_needs_parts_ge2(self):
-        with pytest.raises(DomainError):
-            borel_descriptor(P((1, 3)), kind="connected")
-        assert borel_descriptor(P((2, 2)), kind="connected").kind == "connected"

@@ -123,6 +123,14 @@ class TestClosure:
         with pytest.raises(DomainError):
             closure(b, b, tol=1e-40)
 
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), 1e300, 2e-3])
+    def test_rejects_tol_above_ceiling(self, tol):
+        # at tol = inf the unit generators fall below tol/10 and any input passes as skew
+        b1, b2 = block_algebra(P((2, 2))), block_algebra(P((4,)))
+        with pytest.raises(DomainError, match="tol must lie in"):
+            closure(b1, b2, tol=tol)
+        assert closure(b1, b2, tol=1e-3).dimension == 6
+
     def test_residual_in_ambiguity_band_raises(self):
         # the second generator leaves the first's span by 3e-10, and the two
         # commute, so that residual decides the dimension alone
@@ -155,6 +163,20 @@ class TestClosure:
             assert transitive_on(c, (0, n)) == is_transitive_pair(p1, p2), (p1, p2)
             for w in decompose(p1, p2).windows:
                 assert transitive_on(c, (w.start, w.start + w.size)), (p1, p2, w)
+
+    @pytest.mark.parametrize(
+        "parts1,parts2",
+        [((2, 2, 9), (3, 5, 5)), ((2, 3, 3, 5), (4, 9)), ((2, 3, 4, 4), (3, 10))],
+    )
+    def test_pivoted_acceptance_at_n13(self, parts1, parts2):
+        # one SVD per bracket batch instead of the pivoted loop put singular
+        # values of 2.5e-10 to 9.5e-10 inside the band on exactly these pairs
+        p1, p2 = P(parts1), P(parts2)
+        c = closure(block_algebra(p1), block_algebra(p2))
+        assert c.dimension == generated_group(p1, p2).lie_dimension
+        assert transitive_on(c, (0, 13)) == is_transitive_pair(p1, p2)
+        for w in decompose(p1, p2).windows:
+            assert transitive_on(c, (w.start, w.start + w.size))
 
 
 class TestTransitivity:

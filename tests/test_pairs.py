@@ -107,11 +107,6 @@ class TestGeneratedGroup:
         g3 = generated_group(P((2, 2)), P((2, 2)))
         assert g3.factors == ((2, "agreement"), (2, "agreement"))
 
-    def test_kind_validation(self):
-        assert generated_group(P((2, 2)), P((4,)), kind="connected").kind == "connected"
-        with pytest.raises(DomainError):
-            generated_group(P((2, 2)), P((4,)), kind="orthogonal")
-
     def test_factor_sizes_tile_n(self):
         for n in range(4, 13):
             parts = enumerate_partitions(n, 2)

@@ -14,7 +14,7 @@ least 2 (an upper bound for --min-part above 2).  Each refuses an input
 whose count exceeds MAX_ENUMERATED.  `verify-inv` refuses a pair whose
 two fixed spaces have more than MAX_SPACE_DIMS dimensions together, and
 `verify-lie` a pair of partitions of N > MAX_LIE_N, before it builds any
-matrix; its --tol must lie in [1e-12, 1e-3].
+matrix.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .flags import (
     weyl,
 )
 from .invverify import pair_space_dims, verify_pair
-from .lieverify import DEFAULT_TOL, closure, block_algebra, transitive_on
+from .lieverify import closure, block_algebra, transitive_on
 from .pairs import (
     Agreement,
     decompose,
@@ -67,7 +67,7 @@ commands:
   special N                           the double-partition family at N
   solutions N                         number of solution series at N
   pair PARTS.. -- PARTS..             decomposition and generated group
-  verify-lie PARTS.. -- PARTS.. [--tol T] [--matrices]   numerical structure check
+  verify-lie PARTS.. -- PARTS.. [--matrices]   numerical structure check
   verify-inv PARTS.. -- PARTS.. [--degree D]   fixed-space independence check
   nodal PARTS.. --delta BITS          fixed subspaces of the signed swaps
   classify N                          groups transitive on the sphere of R^N
@@ -370,15 +370,15 @@ def _cmd_pair(tokens):
 
 
 def _cmd_verify_lie(tokens):
-    tol = _pop_value(tokens, "--tol", float, DEFAULT_TOL)
     with_matrices = _pop_flag(tokens, "--matrices")
     p1, p2 = _two_partitions(tokens)
     group = generated_group(p1, p2)
     if p1.n > MAX_LIE_N:
         raise DomainError(f"verify-lie takes N <= {MAX_LIE_N}, got N = {p1.n}")
-    c = closure(block_algebra(p1), block_algebra(p2), tol)
+    c = closure(block_algebra(p1), block_algebra(p2))
     full = transitive_on(c, (0, p1.n))
-    predicted = is_transitive_pair(p1, p2)
+    # the group the closure measures; O(n) for {n} vs {n}, unlike is_transitive_pair
+    predicted = group.transitive_on_sphere
     windows = [
         {
             "start": w.start,
@@ -387,7 +387,7 @@ def _cmd_verify_lie(tokens):
         }
         for w in decompose(p1, p2).windows
     ]
-    inputs = {"left": list(p1.parts), "right": list(p2.parts), "tol": tol}
+    inputs = {"left": list(p1.parts), "right": list(p2.parts)}
     result = {
         "closure_dimension": c.dimension,
         "predicted_lie_dimension": group.lie_dimension,

@@ -36,13 +36,12 @@ import numpy as np
 
 from .errors import DomainError, InternalInvariantError, NumericalError
 from .flags import SignRep, _signed_factors, weyl
-from .lieverify import DEFAULT_RANK_TOL as RANK_TOL, _rank
+from .lieverify import _rank
 from .pairs import decompose, first_window_with_involution, _window_swap
 from .partitions import Partition
 
 __all__ = [
     "DEGREE_CAP",
-    "RANK_TOL",
     "PolySubspace",
     "IndependenceReport",
     "invariant_space",
@@ -329,10 +328,10 @@ def intersection_dim(s1: PolySubspace, s2: PolySubspace) -> int:
     # have the singular values of their columns of the small R
     r = np.linalg.qr(rows.T, mode="r")
     for cols, space in ((r[:, : s1.dim], s1), (r[:, s1.dim :], s2)):
-        rank = _rank(cols, RANK_TOL)[0]
+        rank = _rank(cols)[0]
         if rank != space.dim:
             raise NumericalError(f"subspace basis is rank-deficient: {rank} < {space.dim}")
-    return s1.dim + s2.dim - _rank(r, RANK_TOL)[0]
+    return s1.dim + s2.dim - _rank(r)[0]
 
 
 def invariant_dim_by_derivations(p: Partition, d: int) -> int:
@@ -345,17 +344,7 @@ def invariant_dim_by_derivations(p: Partition, d: int) -> int:
     """
     _check_parts(p)
     _check_degree(d)
-    n = p.n
-    mons = []
-
-    def rec(prefix, budget):
-        if len(prefix) == n:
-            mons.append(tuple(prefix))
-            return
-        for v in range(budget + 1):
-            rec(prefix + [v], budget - v)
-
-    rec([], d)
+    mons = _alphas(p.n, d)
     index = {e: i for i, e in enumerate(mons)}
 
     pairs_in_blocks = []
@@ -380,7 +369,7 @@ def invariant_dim_by_derivations(p: Partition, d: int) -> int:
                 target[a] -= 1
                 target[b] += 1
                 ops[base + index[tuple(target)], col] -= e[a]
-    return len(mons) - _rank(ops, RANK_TOL)[0]
+    return len(mons) - _rank(ops)[0]
 
 
 def _sparse_rank(rows, prime=None):
@@ -448,7 +437,7 @@ def _refined_intersection(p1, swap1, p2, swap2, d):
                 raise InternalInvariantError("a fixed-space basis is linearly dependent")
             rank = _sparse_rank(stacked)
         intersection += len(stacked) - rank
-        float_rank, kept_min, dropped_max = _rank(_coefficient_rows(stacked), RANK_TOL)
+        float_rank, kept_min, dropped_max = _rank(_coefficient_rows(stacked))
         if float_rank != rank:
             raise InternalInvariantError(
                 f"float rank {float_rank} disagrees with the exact rank {rank}"

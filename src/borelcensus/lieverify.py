@@ -33,8 +33,6 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 DEFAULT_RANK_TOL = 1e-8
 _PROBE_SEED = 62831853  # fixed so every run draws the same test vector
-_SKEW_TOL = 1e-12  # also the smallest closure tol: float noise sits near 1e-16
-_MAX_TOL = 1e-3  # largest closure tol: genuine new directions have norm near 0.7
 _BATCH_FLOATS = 1 << 16  # brackets formed per matmul, in floats; bounds peak memory
 
 
@@ -55,7 +53,6 @@ class LieClosure:
     basis: SkewBasis
     dimension: int
     iterations: int
-    tol: float
 
 
 def block_algebra(p: Partition) -> SkewBasis:
@@ -75,9 +72,9 @@ def block_algebra(p: Partition) -> SkewBasis:
     return SkewBasis(n=n, elements=np.array(mats))
 
 
-def _check_skew(elements, tol):
+def _check_skew(elements):
     worst = np.max(np.abs(elements + np.transpose(elements, (0, 2, 1))))
-    if worst > tol:
+    if worst > DEFAULT_TOL:
         raise DomainError(f"input matrices are not skew-symmetric (residual {worst:.2e})")
 
 
@@ -91,25 +88,25 @@ def _check_band(values, tol, what):
         )
 
 
-def _rank(mat, rank_tol):
+def _rank(mat):
     """Numerical rank of mat, its smallest kept and its largest dropped singular value.
 
-    Singular values above rank_tol count, those below rank_tol/10 do not,
-    and one in between raises IndeterminateError.
+    Singular values above DEFAULT_RANK_TOL count, those below a tenth of it
+    do not, and one in between raises IndeterminateError.
     """
     if mat.size == 0:
         return 0, 0.0, 0.0
     sv = np.linalg.svd(mat, compute_uv=False)
-    _check_band(sv, rank_tol, "singular value")
-    kept = sv[sv > rank_tol]
-    dropped = sv[sv < rank_tol / 10.0]
+    _check_band(sv, DEFAULT_RANK_TOL, "singular value")
+    kept = sv[sv > DEFAULT_RANK_TOL]
+    dropped = sv[sv < DEFAULT_RANK_TOL / 10.0]
     return len(kept), (float(kept.min()) if kept.size else 0.0), (
         float(dropped.max()) if dropped.size else 0.0
     )
 
 
-def _project_out(rows, basis, tol):
-    """Project rows twice out of span(basis); drop rows left below tol/10.
+def _project_out(rows, basis):
+    """Project rows twice out of span(basis); drop rows left below DEFAULT_TOL/10.
 
     A projection never lengthens a row, so a dropped row could never have
     been accepted later.
@@ -117,56 +114,52 @@ def _project_out(rows, basis, tol):
     for _ in range(2):
         if len(basis):
             rows = rows - (rows @ basis.T) @ basis
-        rows = rows[np.linalg.norm(rows, axis=1) >= tol / 10.0]
+        rows = rows[np.linalg.norm(rows, axis=1) >= DEFAULT_TOL / 10.0]
     return rows
 
 
-def _accept(basis, m, batch, tol):
+def _accept(basis, m, batch):
     """Append the new directions of batch to basis[:m]; return the new count.
 
     Pivoted Gram-Schmidt: after projecting the batch out of the basis,
     the row with the largest residual joins it while that residual
-    exceeds tol, and the remaining rows are projected out of it.
+    exceeds DEFAULT_TOL, and the remaining rows are projected out of it.
     """
-    rows = _project_out(batch, basis[:m], tol)
+    rows = _project_out(batch, basis[:m])
     while len(rows):
         norms = np.linalg.norm(rows, axis=1)
         i = int(np.argmax(norms))
-        _check_band(norms[i : i + 1], tol, "closure residual")
+        _check_band(norms[i : i + 1], DEFAULT_TOL, "closure residual")
         if m == basis.shape[0]:
             raise NumericalError(
                 f"bracket closure exceeds so(n), dimension {m}: residual {norms[i]:.3e} "
                 "would be accepted"
             )
         basis[m] = rows[i] / norms[i]
-        rows = _project_out(np.delete(rows, i, axis=0), basis[m : m + 1], tol)
+        rows = _project_out(np.delete(rows, i, axis=0), basis[m : m + 1])
         m += 1
     return m
 
 
-def closure(b1: SkewBasis, b2: SkewBasis, tol: float = DEFAULT_TOL) -> LieClosure:
+def closure(b1: SkewBasis, b2: SkewBasis) -> LieClosure:
     """Close the union of two skew bases under commutators.
 
     The orthonormalized union G seeds the basis.  Each round brackets only
     the previous round's new elements against G, since left-normed
     brackets of G span the generated algebra, and accepts the new
-    directions.  A residual inside [tol/10, tol] raises IndeterminateError.
-    tol must lie in [1e-12, 1e-3]: below, rounding noise passes for new
-    directions; far above, genuine ones (norm near 0.7) are dropped and any
-    input passes the skew check.
+    directions.  A residual inside [DEFAULT_TOL/10, DEFAULT_TOL] raises
+    IndeterminateError.
     """
     if b1.n != b2.n:
         raise DomainError(f"bases live in different dimensions: {b1.n} vs {b2.n}")
-    if not _SKEW_TOL <= tol <= _MAX_TOL:
-        raise DomainError(f"tol must lie in [{_SKEW_TOL:.0e}, {_MAX_TOL:.0e}], got {tol!r}")
     n = b1.n
     for which, b in (("first", b1), ("second", b2)):
         if not len(b.elements):
             raise DomainError(f"the {which} basis is empty; closure needs at least one element")
-        _check_skew(b.elements, tol)
+        _check_skew(b.elements)
     basis = np.zeros((n * (n - 1) // 2, n * n))
     gens = np.concatenate([b1.elements, b2.elements]).reshape(-1, n * n)
-    m = _accept(basis, 0, gens, tol)
+    m = _accept(basis, 0, gens)
     g = basis[:m].reshape(m, n, n)
     lo, rounds = 0, 0
     while lo < m:
@@ -178,9 +171,9 @@ def closure(b1: SkewBasis, b2: SkewBasis, tol: float = DEFAULT_TOL) -> LieClosur
             xy = frontier @ g[start : start + step]
             # for skew x and y, yx is the transpose of xy
             brackets = xy - np.swapaxes(xy, -1, -2)
-            m = _accept(basis, m, brackets.reshape(-1, n * n), tol)
+            m = _accept(basis, m, brackets.reshape(-1, n * n))
     basis = SkewBasis(n=n, elements=basis[:m].reshape(m, n, n).copy())
-    return LieClosure(basis=basis, dimension=m, iterations=rounds, tol=tol)
+    return LieClosure(basis=basis, dimension=m, iterations=rounds)
 
 
 def transitive_on(c: LieClosure, window) -> bool:
@@ -202,7 +195,7 @@ def transitive_on(c: LieClosure, window) -> bool:
             np.max(np.abs(elements[:, outside, :][:, :, lo:hi])),
             np.max(np.abs(elements[:, lo:hi, :][:, :, outside])),
         )
-        if spill > c.tol:
+        if spill > DEFAULT_TOL:
             raise DomainError(f"window {window} is not invariant (spill {spill:.2e})")
 
     dim = hi - lo
@@ -214,7 +207,7 @@ def transitive_on(c: LieClosure, window) -> bool:
     x2[lo:hi] = v / np.linalg.norm(v)
 
     # elements @ x holds one row of velocities per basis element
-    verdicts = [_rank((elements @ x)[:, lo:hi], DEFAULT_RANK_TOL)[0] == dim - 1 for x in (x1, x2)]
+    verdicts = [_rank((elements @ x)[:, lo:hi])[0] == dim - 1 for x in (x1, x2)]
     if verdicts[0] != verdicts[1]:
         raise ProbeDisagreementError(
             f"tangent-rank probes disagree on window {window}: {verdicts}"

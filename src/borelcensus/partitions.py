@@ -141,9 +141,9 @@ def _q_upto(n):
         return t
 
 
-def _check_positive(n):
+def _check_positive(n, name="n"):
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+        raise DomainError(f"{name} must be a positive integer, got {n!r}")
 
 
 def _check_ge2(n):
@@ -234,7 +234,7 @@ def enumerate_partitions(n: int, min_part: int = 1, distinct: bool = False) -> l
     count_* value, which the tests exploit as an oracle.
     """
     _check_positive(n)
-    _check_positive(min_part)
+    _check_positive(min_part, "min_part")
     return [Partition(t) for t in _tuples(n, min_part, distinct)]
 
 

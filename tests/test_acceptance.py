@@ -115,13 +115,14 @@ def structure_sweep():
         parts = bc.enumerate_partitions(n, 2)
         algebras = {p: bc.block_algebra(p) for p in parts}
         for p1, p2 in combinations(parts, 2):
-            c = bc.closure(algebras[p1], algebras[p2], TOL)
+            c = bc.closure(algebras[p1], algebras[p2])
             results.append((n, p1, p2, c))
     return results
 
 
 def test_criterion_6_structure_oracle_equivalence(structure_sweep):
     with Criterion(6, "closure == exact structure, n <= 10", budget=120.0):
+        assert bc.lieverify.DEFAULT_TOL == TOL
         assert bc.lieverify.DEFAULT_RANK_TOL == RANK_TOL
         assert len(structure_sweep) == 129
         for n, p1, p2, c in structure_sweep:

@@ -1,5 +1,6 @@
 """Public surface: every exported name resolves, and no per-call tolerance knobs."""
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -22,13 +23,20 @@ def test_all_names_resolve(module):
 
 
 def test_one_rank_threshold_and_no_tolerance_options():
-    assert invverify.RANK_TOL is lieverify.DEFAULT_RANK_TOL
+    assert not hasattr(invverify, "RANK_TOL")
     for fn in (
         bc.generated_group,
         bc.borel_descriptor,
         bc.intersection_dim,
         bc.transitive_on,
         bc.involution_normalizes,
+        bc.closure,
     ):
         params = set(inspect.signature(fn).parameters)
         assert not params & {"kind", "rank_tol", "tol"}, (fn.__name__, params)
+    assert list(inspect.signature(lieverify._rank).parameters) == ["mat"]
+    assert [f.name for f in dataclasses.fields(bc.LieClosure)] == [
+        "basis",
+        "dimension",
+        "iterations",
+    ]

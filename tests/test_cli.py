@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +32,13 @@ def run_module(*argv, timeout=None):
         env={**os.environ, "PYTHONPATH": path},
         timeout=timeout,
     )
+
+
+# errors whose message must name the offending input
+MESSAGES = {
+    "list 5 --min-part 0": "min_part must be a positive integer, got 0",
+    "verify-lie 2 2 -- 4 --tol 1e-9": "unknown option '--tol'",
+}
 
 
 def run_json(argv):
@@ -147,6 +155,17 @@ class TestCommands:
         assert all(w["transitive"] for w in env["result"]["windows"])
         assert "basis" not in env["result"]
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_verify_lie_single_block_self_pair(self, n):
+        # the closure of so(n) with itself is so(n): O(n) is transitive
+        result = run_json(["verify-lie", str(n), "--", str(n)])["result"]
+        assert result["transitive_numeric"] is result["transitive_predicted"] is True
+        assert result["transitivity_match"] is True
+
+    def test_verify_lie_torus_self_pair(self):
+        result = run_json(["verify-lie", "2", "2", "--", "2", "2"])["result"]
+        assert result["transitive_numeric"] is result["transitive_predicted"] is False
+
     def test_verify_lie_matrices(self):
         env = run_json(["verify-lie", "--matrices", "2", "2", "--", "4"])
         basis = env["result"]["basis"]
@@ -206,9 +225,9 @@ class TestExitCodes:
             ["plist", "--max", "50"],
             ["pair", "1", "3", "--", "2", "2"],
             ["verify-inv", "2", "2", "--", "2", "2"],
-            ["verify-lie", "2", "2", "4", "--", "2", "6", "--tol", "1e-40"],
-            ["verify-lie", "2", "2", "--", "4", "--tol", "inf"],
-            ["verify-lie", "2", "2", "--", "4", "--tol", "1e300"],
+            ["list", "5", "--min-part", "0"],
+            ["verify-lie", "2", "2", "--", "3"],
+            ["verify-lie", "1", "3", "--", "4"],
             ["verify-lie", "17", "16", "--", "33"],
             ["census", "61"],
             ["list", "61"],
@@ -219,6 +238,7 @@ class TestExitCodes:
     def test_domain_errors_exit_1(self, argv):
         code, _, err = run(argv)
         assert code == 1 and err.strip()
+        assert MESSAGES.get(" ".join(argv), "") in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -232,11 +252,13 @@ class TestExitCodes:
             ["nodal", "2", "2"],
             ["list", "4", "--min-part"],
             ["count", "4", "--bogus"],
+            ["verify-lie", "2", "2", "--", "4", "--tol", "1e-9"],
         ],
     )
     def test_usage_errors_exit_2(self, argv):
         code, _, err = run(argv)
         assert code == 2 and "usage" in err
+        assert MESSAGES.get(" ".join(argv), "") in err
 
     def test_indeterminate_exit_3(self, monkeypatch):
         def boom(*_args, **_kwargs):
@@ -292,6 +314,71 @@ class TestExitCodes:
     def test_help_exits_0(self):
         code, out, _ = run(["help"])
         assert code == 0 and "commands:" in out
+
+
+def _fuzz_int(rng, hi):
+    return str(rng.randint(-1, 2) if rng.random() < 0.2 else rng.randint(0, hi))
+
+
+def _fuzz_parts(rng, n, max_part=None):
+    """Parts summing to n, sometimes with a 1 in them."""
+    parts, left = [], n
+    while left:
+        lo = 1 if rng.random() < 0.1 else min(2, left)
+        v = rng.randint(lo, max(lo, min(left, max_part or left)))
+        if left - v != 1 or rng.random() < 0.1:
+            parts.append(str(v))
+            left -= v
+    return parts
+
+
+def _fuzz_pair(rng, max_n):
+    n = rng.randint(1, max_n)
+    right_n = n if rng.random() < 0.9 else rng.randint(1, max_n)
+    return [*_fuzz_parts(rng, n), "--", *_fuzz_parts(rng, right_n)]
+
+
+# Each entry builds one command's argv with every size under the bound that
+# keeps a case fast; the stray tokens can only turn a case into an error.
+_FUZZ_GRAMMAR = {
+    "count": lambda r: [_fuzz_int(r, 5000)],
+    "list": lambda r: [_fuzz_int(r, 30)]
+    + r.choice([[], ["--min-part", _fuzz_int(r, 5)]])
+    + r.choice([[], ["--distinct"]]),
+    "weyl": lambda r: _fuzz_parts(r, r.randint(1, 30)),
+    "equiv": lambda r: _fuzz_pair(r, 30),
+    "orbit": lambda r: _fuzz_parts(r, r.randint(1, 30)),
+    "census": lambda r: [_fuzz_int(r, 30)],
+    "special": lambda r: [_fuzz_int(r, 60)],
+    "solutions": lambda r: [_fuzz_int(r, 60)],
+    "pair": lambda r: _fuzz_pair(r, 40),
+    "verify-lie": lambda r: _fuzz_pair(r, 12) + r.choice([[], ["--matrices"]]),
+    "verify-inv": lambda r: _fuzz_pair(r, 16)
+    + r.choice([[], ["--degree", _fuzz_int(r, 6)]]),
+    "nodal": lambda r: _fuzz_parts(r, r.randint(1, 20), max_part=3)
+    + ["--delta", "".join(r.choice("01") for _ in range(r.randint(0, 3)))],
+    "classify": lambda r: [_fuzz_int(r, 60)],
+    "table": lambda r: r.choice([[], ["--max", _fuzz_int(r, 200)]]),
+    "plist": lambda r: r.choice([[], ["--max", _fuzz_int(r, 60)]]),
+}
+_STRAY = ["--tol", "1e-9", "--bogus", "--json", "--matrices", "--distinct", "--", "x", "0", "-1"]
+
+
+def test_seeded_cli_fuzz():
+    assert set(_FUZZ_GRAMMAR) == set(cli._COMMANDS)
+    rng = random.Random(8128)
+    codes = {}
+    for _ in range(400):
+        command = rng.choice(sorted(_FUZZ_GRAMMAR))
+        argv = [command, *_FUZZ_GRAMMAR[command](rng)]
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            argv.insert(rng.randint(1, len(argv)), rng.choice(_STRAY))
+        code, _, err = run(argv)
+        assert code in (0, 1, 2, 3, 4), argv
+        assert "Traceback" not in err, argv
+        codes.setdefault(command, set()).add(code)
+    assert set(codes) == set(_FUZZ_GRAMMAR)
+    assert set().union(*codes.values()) >= {0, 1, 2}
 
 
 def test_installed_entry_point():

@@ -24,6 +24,7 @@ from borelcensus import (
 )
 from borelcensus import invverify
 from borelcensus.invverify import PolySubspace
+from borelcensus.lieverify import DEFAULT_RANK_TOL
 from borelcensus.flags import borel_descriptor
 
 P = Partition
@@ -395,8 +396,8 @@ class TestVerifyPair:
 
     def test_reports_margins(self):
         report = verify_pair(P((4, 4)), P((2, 2, 2, 2)), 6)
-        assert report.sv_kept_min > invverify.RANK_TOL
-        assert report.sv_dropped_max < invverify.RANK_TOL / 10
+        assert report.sv_kept_min > DEFAULT_RANK_TOL
+        assert report.sv_dropped_max < DEFAULT_RANK_TOL / 10
 
     @pytest.mark.parametrize("d", [4, 6])
     def test_exact_path_matches_float_oracle(self, d):
@@ -488,7 +489,7 @@ class TestExactChecks:
 
     def test_float_exact_disagreement_raises(self, monkeypatch):
         real = invverify._rank
-        monkeypatch.setattr(invverify, "_rank", lambda m, tol: (real(m, tol)[0] - 1, 1.0, 0.0))
+        monkeypatch.setattr(invverify, "_rank", lambda m: (real(m)[0] - 1, 1.0, 0.0))
         with pytest.raises(InternalInvariantError, match="disagrees"):
             verify_pair(P((4, 4)), P((2, 2, 2, 2)), 6)
 

@@ -1,5 +1,6 @@
 """Pair decomposition, generated-group structure, transitivity predicates."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -129,6 +130,73 @@ class TestTransitivity:
                 direct = has_common_subpartition(p1, p2) is None
                 structural = generated_group(p1, p2).factors == ((n, "window"),)
                 assert is_transitive_pair(p1, p2) == direct == structural
+
+
+def random_partition(rng, n):
+    """A partition of n >= 2 with parts >= 2, mostly small parts so agreements occur."""
+    parts, left = [], n
+    while left:
+        v = rng.randint(2, left if rng.random() < 0.3 else min(left, 6))
+        if left - v != 1:
+            parts.append(v)
+            left -= v
+    return P(tuple(parts))
+
+
+def brute_decomposition(p1, p2):
+    """decompose's answer from the common prefix sums, segment by segment.
+
+    Consecutive common cut points bound each segment; a side's parts in a
+    segment are those whose span lies inside it.  One equal part on both
+    sides is an agreement, anything else a window.
+    """
+    def inside(p, lo, hi):
+        """Parts of p spanning a sub-interval of [lo, hi), and the first one's position."""
+        cuts = (0,) + p.prefix_sums()
+        found = [i for i in range(p.length) if lo <= cuts[i] and cuts[i + 1] <= hi]
+        return tuple(p.parts[i] for i in found), found[0] + 1
+
+    common = sorted(set((0,) + p1.prefix_sums()) & set((0,) + p2.prefix_sums()))
+    segments = []
+    for lo, hi in zip(common, common[1:]):
+        (h_parts, h_first), (k_parts, k_first) = inside(p1, lo, hi), inside(p2, lo, hi)
+        if h_parts == k_parts and len(h_parts) == 1:
+            segments.append(("agreement", lo, hi - lo, h_parts, k_parts, None, None))
+        else:
+            segments.append(("window", lo, hi - lo, h_parts, k_parts, h_first, k_first))
+    return segments, common
+
+
+class TestSeededDecompose:
+    """decompose and the predicates built on it, against brute_decomposition."""
+
+    def test_random_pairs_match_common_prefix_sum_model(self):
+        rng = random.Random(20171)
+        seen = {"self": 0, "transitive": 0, "mixed": 0}
+        for _ in range(600):
+            n = rng.randint(2, 40)
+            p1 = random_partition(rng, n)
+            p2 = p1 if rng.random() < 0.15 else random_partition(rng, n)
+            want, common = brute_decomposition(p1, p2)
+            got = [
+                ("agreement", s.start, s.size, (s.part,), (s.part,), None, None)
+                if isinstance(s, Agreement)
+                else ("window", s.start, s.size, s.h_parts, s.k_parts, s.h_first, s.k_first)
+                for s in decompose(p1, p2).segments
+            ]
+            assert got == want, (p1, p2)
+            factors = tuple((size, kind) for kind, _lo, size, *_rest in want)
+            g = generated_group(p1, p2)
+            assert g.factors == factors, (p1, p2)
+            assert g.lie_dimension == sum(s * (s - 1) // 2 for s, _ in factors)
+            proper = [c for c in common if 0 < c < n]
+            assert has_common_subpartition(p1, p2) == (min(proper) if proper else None)
+            transitive = p1 != p2 and not proper
+            assert is_transitive_pair(p1, p2) == transitive, (p1, p2)
+            seen["self"] += p1 == p2
+            seen["transitive"] += transitive
+            seen["mixed"] += len({kind for kind, *_rest in want}) == 2
+        assert min(seen.values()) >= 20, seen
 
 
 class TestWindowPlan:

@@ -82,9 +82,12 @@ MAX_ENUMERATED = 10**6  # partitions that list, census and special may enumerate
 # 574 + 1792, 28 refinement pieces) took 12 s and 0.5 GB on one core of a
 # 2-core x86 host, almost all of it in the float SVD that reports the margins.
 MAX_SPACE_DIMS = 2400
-# N that verify-lie may close.  On one core of a 2-core x86 host 16 16 -- 32
-# took 9.6 s and 20 20 -- 40 took 49 s; the closure alone preallocates
-# N(N-1)/2 x N^2 floats, 0.4 GB at N = 100.
+# N that verify-lie may close.  On one core of a 2-core x86 host the slowest
+# closure measured at N = 32 was sixteen parts 2 against 3 29, 8.8 s; at
+# N = 40 twenty parts 2 against 3 37 took 52 s.  A seed that spans so(N)
+# runs no round (16 16 -- 32 closes in 0.1 s), but two large inputs whose
+# first round falls short of so(N) bracket every pair of them, about N^8
+# flops.  The closure preallocates N(N-1)/2 x N^2 floats, 0.4 GB at N = 100.
 MAX_LIE_N = 32
 
 
@@ -133,8 +136,9 @@ def _pop_value(tokens, name, cast, default):
 
 
 def _reject_leftover_flags(tokens):
+    """Refuse a leftover option; neither "--" nor a negative integer is one."""
     for t in tokens:
-        if t.startswith("-") and t != "--":
+        if t.startswith("-") and t != "--" and not t[1:].isdigit():
             raise UsageError(f"unknown option {t!r}")
 
 
@@ -396,6 +400,8 @@ def _cmd_verify_lie(tokens):
         "transitive_predicted": predicted,
         "transitivity_match": full == predicted,
         "iterations": c.iterations,
+        "residual_kept_min": c.residual_kept_min,
+        "residual_dropped_max": c.residual_dropped_max,
         "windows": windows,
     }
     if with_matrices:

@@ -38,7 +38,11 @@ _BATCH_FLOATS = 1 << 16  # brackets formed per matmul, in floats; bounds peak me
 
 @dataclass(frozen=True)
 class SkewBasis:
-    """Skew-symmetric matrices, orthonormal under the Frobenius product."""
+    """Skew-symmetric matrices, orthonormal under the Frobenius product.
+
+    closure enforces both: it refuses a basis whose Gram matrix is off the
+    identity by more than DEFAULT_TOL/10.
+    """
 
     n: int
     elements: np.ndarray  # shape (k, n, n)
@@ -50,9 +54,18 @@ class SkewBasis:
 
 @dataclass(frozen=True)
 class LieClosure:
+    """A closed algebra and the margins of the residuals that decided it.
+
+    residual_kept_min is the smallest residual a direction joined the basis
+    with (a seed element's residual is its norm); residual_dropped_max is
+    the largest residual dropped as lying in the span, 0.0 if none was.
+    """
+
     basis: SkewBasis
     dimension: int
     iterations: int
+    residual_kept_min: float
+    residual_dropped_max: float
 
 
 def block_algebra(p: Partition) -> SkewBasis:
@@ -76,6 +89,17 @@ def _check_skew(elements):
     worst = np.max(np.abs(elements + np.transpose(elements, (0, 2, 1))))
     if worst > DEFAULT_TOL:
         raise DomainError(f"input matrices are not skew-symmetric (residual {worst:.2e})")
+
+
+def _check_orthonormal(flat):
+    """Refuse rows whose Gram matrix is off the identity by more than DEFAULT_TOL/10.
+
+    A seed off from orthonormal by d leaves d^2 after two projection
+    passes, so this keeps the seed's error below the ambiguity band.
+    """
+    worst = np.max(np.abs(flat @ flat.T - np.eye(len(flat))))
+    if worst > DEFAULT_TOL / 10.0:
+        raise DomainError(f"input matrices are not orthonormal (Gram deviation {worst:.2e})")
 
 
 def _check_band(values, tol, what):
@@ -108,26 +132,33 @@ def _rank(mat):
 def _project_out(rows, basis):
     """Project rows twice out of span(basis); drop rows left below DEFAULT_TOL/10.
 
-    A projection never lengthens a row, so a dropped row could never have
-    been accepted later.
+    Returns the kept rows, their norms and the largest norm dropped (0.0
+    if none).  A projection never lengthens a row, so a dropped row could
+    never have been accepted later.
     """
+    dropped = 0.0
     for _ in range(2):
         if len(basis):
             rows = rows - (rows @ basis.T) @ basis
-        rows = rows[np.linalg.norm(rows, axis=1) >= DEFAULT_TOL / 10.0]
-    return rows
+        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+        keep = norms >= DEFAULT_TOL / 10.0
+        dropped = max(dropped, float(np.max(norms, where=~keep, initial=0.0)))
+        rows, norms = rows[keep], norms[keep]
+    return rows, norms, dropped
 
 
 def _accept(basis, m, batch):
-    """Append the new directions of batch to basis[:m]; return the new count.
+    """Append the new directions of batch to basis[:m].
 
-    Pivoted Gram-Schmidt: after projecting the batch out of the basis,
-    the row with the largest residual joins it while that residual
-    exceeds DEFAULT_TOL, and the remaining rows are projected out of it.
+    Returns the new count, the smallest accepted residual (inf if none)
+    and the largest dropped one.  Pivoted Gram-Schmidt: after projecting
+    the batch out of the basis, the row with the largest residual joins
+    it while that residual exceeds DEFAULT_TOL, and all rows are
+    projected out of it, which leaves the accepted row to be dropped.
     """
-    rows = _project_out(batch, basis[:m])
+    rows, norms, dropped = _project_out(batch, basis[:m])
+    kept = np.inf
     while len(rows):
-        norms = np.linalg.norm(rows, axis=1)
         i = int(np.argmax(norms))
         _check_band(norms[i : i + 1], DEFAULT_TOL, "closure residual")
         if m == basis.shape[0]:
@@ -136,18 +167,23 @@ def _accept(basis, m, batch):
                 "would be accepted"
             )
         basis[m] = rows[i] / norms[i]
-        rows = _project_out(np.delete(rows, i, axis=0), basis[m : m + 1])
+        kept = min(kept, float(norms[i]))
+        rows, norms, d = _project_out(rows, basis[m : m + 1])
+        dropped = max(dropped, d)
         m += 1
-    return m
+    return m, kept, dropped
 
 
 def closure(b1: SkewBasis, b2: SkewBasis) -> LieClosure:
     """Close the union of two skew bases under commutators.
 
-    The orthonormalized union G seeds the basis.  Each round brackets only
-    the previous round's new elements against G, since left-normed
-    brackets of G span the generated algebra, and accepts the new
-    directions.  A residual inside [DEFAULT_TOL/10, DEFAULT_TOL] raises
+    Both inputs must be skew and orthonormal; either failing is a
+    DomainError.  The larger input seeds the basis as given and the other
+    joins it through pivoted Gram-Schmidt; together they are G.  Each
+    round brackets only the previous round's new elements against G,
+    since left-normed brackets of G span the generated algebra, and
+    accepts the new directions.  Rounds stop once the basis spans so(n).
+    A residual inside [DEFAULT_TOL/10, DEFAULT_TOL] raises
     IndeterminateError.
     """
     if b1.n != b2.n:
@@ -157,12 +193,19 @@ def closure(b1: SkewBasis, b2: SkewBasis) -> LieClosure:
         if not len(b.elements):
             raise DomainError(f"the {which} basis is empty; closure needs at least one element")
         _check_skew(b.elements)
-    basis = np.zeros((n * (n - 1) // 2, n * n))
-    gens = np.concatenate([b1.elements, b2.elements]).reshape(-1, n * n)
-    m = _accept(basis, 0, gens)
+        _check_orthonormal(b.elements.reshape(-1, n * n))
+    big, small = (b2, b1) if b2.count > b1.count else (b1, b2)
+    full = n * (n - 1) // 2
+    basis = np.zeros((full, n * n))
+    m = big.count  # at most full, since big is orthonormal
+    basis[:m] = big.elements.reshape(m, n * n)
+    # a seed element joins with its norm as its residual
+    kept = float(np.sqrt(np.einsum("ij,ij->i", basis[:m], basis[:m]).min()))
+    m, k, dropped = _accept(basis, m, small.elements.reshape(-1, n * n))
+    kept = min(kept, k)
     g = basis[:m].reshape(m, n, n)
     lo, rounds = 0, 0
-    while lo < m:
+    while lo < m < full:
         rounds += 1
         frontier = basis[lo:m].reshape(-1, 1, n, n)
         step = max(1, _BATCH_FLOATS // (len(frontier) * n * n))
@@ -171,9 +214,18 @@ def closure(b1: SkewBasis, b2: SkewBasis) -> LieClosure:
             xy = frontier @ g[start : start + step]
             # for skew x and y, yx is the transpose of xy
             brackets = xy - np.swapaxes(xy, -1, -2)
-            m = _accept(basis, m, brackets.reshape(-1, n * n))
+            m, k, d = _accept(basis, m, brackets.reshape(-1, n * n))
+            kept, dropped = min(kept, k), max(dropped, d)
+            if m == full:
+                break
     basis = SkewBasis(n=n, elements=basis[:m].reshape(m, n, n).copy())
-    return LieClosure(basis=basis, dimension=m, iterations=rounds)
+    return LieClosure(
+        basis=basis,
+        dimension=m,
+        iterations=rounds,
+        residual_kept_min=kept,
+        residual_dropped_max=dropped,
+    )
 
 
 def transitive_on(c: LieClosure, window) -> bool:

@@ -39,4 +39,6 @@ def test_one_rank_threshold_and_no_tolerance_options():
         "basis",
         "dimension",
         "iterations",
+        "residual_kept_min",
+        "residual_dropped_max",
     ]

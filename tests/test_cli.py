@@ -38,6 +38,9 @@ def run_module(*argv, timeout=None):
 MESSAGES = {
     "list 5 --min-part 0": "min_part must be a positive integer, got 0",
     "verify-lie 2 2 -- 4 --tol 1e-9": "unknown option '--tol'",
+    # a negative integer is a positional, refused like 0
+    "count -1": "n must be a positive integer, got -1",
+    "weyl 2 -2": "parts must be positive integers, got -2",
 }
 
 
@@ -154,6 +157,13 @@ class TestCommands:
         assert env["result"]["transitivity_match"] is True
         assert all(w["transitive"] for w in env["result"]["windows"])
         assert "basis" not in env["result"]
+        assert env["result"]["residual_kept_min"] > 1e-9
+        assert env["result"]["residual_dropped_max"] < 1e-10
+
+    def test_verify_lie_seed_spanning_so_n_runs_no_round(self):
+        result = run_json(["verify-lie", "4", "--", "2", "2"])["result"]
+        assert result["closure_dimension"] == 6
+        assert result["iterations"] == 0
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_verify_lie_single_block_self_pair(self, n):
@@ -219,6 +229,8 @@ class TestExitCodes:
         "argv",
         [
             ["count", "0"],
+            ["count", "-1"],
+            ["weyl", "2", "-2"],
             ["solutions", "5"],
             ["classify", "1"],
             ["table", "--max", "0"],
@@ -252,6 +264,7 @@ class TestExitCodes:
             ["nodal", "2", "2"],
             ["list", "4", "--min-part"],
             ["count", "4", "--bogus"],
+            ["count", "--bogus"],
             ["verify-lie", "2", "2", "--", "4", "--tol", "1e-9"],
         ],
     )

@@ -1,6 +1,6 @@
 """Numerical Lie-algebra oracle: closure dimensions, tangent ranks, swaps."""
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from borelcensus import (
     is_transitive_pair,
     transitive_on,
 )
-from borelcensus.lieverify import SkewBasis, _accept, swap_matrix
+from borelcensus.lieverify import DEFAULT_TOL, SkewBasis, _accept, swap_matrix
 
 P = Partition
 
@@ -96,6 +96,36 @@ class TestClosure:
         with pytest.raises(DomainError, match="second basis is empty"):
             closure(b, empty)
 
+    def test_rejects_non_orthonormal(self):
+        b = block_algebra(P((3,)))
+        x = b.elements[0]
+        with pytest.raises(DomainError, match="not orthonormal"):
+            closure(SkewBasis(n=3, elements=np.stack([x, x])), b)
+        with pytest.raises(DomainError, match="not orthonormal"):
+            closure(b, SkewBasis(n=3, elements=2.0 * x[None]))
+
+    def test_seed_spanning_so_n_runs_no_round(self):
+        c = closure(block_algebra(P((4,))), block_algebra(P((2, 2))))
+        assert c.dimension == 6 and c.iterations == 0
+
+    def test_margins(self):
+        c = closure(block_algebra(P((2, 2, 4))), block_algebra(P((2, 6))))
+        assert c.residual_kept_min > DEFAULT_TOL
+        assert c.residual_dropped_max < DEFAULT_TOL / 10
+
+    @pytest.mark.parametrize("eps", [3e-9, 3e-11])
+    def test_margin_is_the_deciding_residual(self, eps):
+        # the second generator's residual against the first is eps
+        x = np.zeros((4, 4))
+        x[0, 1], x[1, 0] = 1.0, -1.0
+        y = x.copy()
+        y[2, 3], y[3, 2] = eps, -eps
+        b1 = SkewBasis(n=4, elements=(x / np.linalg.norm(x))[None])
+        b2 = SkewBasis(n=4, elements=(y / np.linalg.norm(y))[None])
+        c = closure(b1, b2)
+        margin = c.residual_kept_min if eps > DEFAULT_TOL else c.residual_dropped_max
+        assert margin == pytest.approx(eps, rel=1e-3)
+
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(DomainError):
             closure(block_algebra(P((2, 2))), block_algebra(P((2, 3))))
@@ -134,19 +164,37 @@ class TestClosure:
         with pytest.raises(NumericalError):
             _accept(basis, 0, np.eye(4)[:2])
 
-    def test_exhaustive_sweep_n11_n12(self):
+    def test_exhaustive_sweep_n11_n13(self):
         pairs = [
             (n, p1, p2)
-            for n in (11, 12)
+            for n in (11, 12, 13)
             for p1, p2 in combinations(enumerate_partitions(n, 2), 2)
         ]
-        assert len(pairs) == 301
+        assert len(pairs) == 577
         for n, p1, p2 in pairs:
             c = closure(block_algebra(p1), block_algebra(p2))
             assert c.dimension == generated_group(p1, p2).lie_dimension, (p1, p2)
             assert transitive_on(c, (0, n)) == is_transitive_pair(p1, p2), (p1, p2)
             for w in decompose(p1, p2).windows:
                 assert transitive_on(c, (w.start, w.start + w.size)), (p1, p2, w)
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_off_axis_frame(self, n):
+        # one random orthogonal Q moves both algebras off the coordinate
+        # axes, so residuals are no longer exactly 0 or 1/sqrt(2)
+        q, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))
+
+        def rotated(p):
+            return SkewBasis(n=n, elements=q @ block_algebra(p).elements @ q.T)
+
+        for p1, p2 in combinations_with_replacement(enumerate_partitions(n, 2), 2):
+            b1, b2 = rotated(p1), rotated(p2)
+            c = closure(b1, b2)
+            group = generated_group(p1, p2)
+            assert c.dimension == group.lie_dimension, (p1, p2)
+            assert transitive_on(c, (0, n)) == group.transitive_on_sphere, (p1, p2)
+            # the larger input seeds the basis, so the order must not matter
+            assert closure(b2, b1).dimension == c.dimension, (p1, p2)
 
     @pytest.mark.parametrize(
         "parts1,parts2",
@@ -204,6 +252,8 @@ class TestTransitivity:
             basis=SkewBasis(n=4, elements=np.stack([x1, x2])),
             dimension=2,
             iterations=0,
+            residual_kept_min=1.0,
+            residual_dropped_max=0.0,
         )
         with pytest.raises(IndeterminateError):
             transitive_on(c, (0, 4))

@@ -39,7 +39,6 @@ from .pairs import (
     Agreement,
     decompose,
     first_window_with_involution,
-    generated_group,
     has_common_subpartition,
     is_transitive_pair,
 )
@@ -83,11 +82,12 @@ MAX_ENUMERATED = 10**6  # partitions that list, census and special may enumerate
 # 2-core x86 host, almost all of it in the float SVD that reports the margins.
 MAX_SPACE_DIMS = 2400
 # N that verify-lie may close.  On one core of a 2-core x86 host the slowest
-# closure measured at N = 32 was sixteen parts 2 against 3 29, 8.8 s; at
-# N = 40 twenty parts 2 against 3 37 took 52 s.  A seed that spans so(N)
+# closure measured at N = 32 was sixteen parts 2 against 3 29, 4.2 s; at
+# N = 40 twenty parts 2 against 3 37 took 23 s.  A seed that spans so(N)
 # runs no round (16 16 -- 32 closes in 0.1 s), but two large inputs whose
-# first round falls short of so(N) bracket every pair of them, about N^8
-# flops.  The closure preallocates N(N-1)/2 x N^2 floats, 0.4 GB at N = 100.
+# first round falls short of so(N) bracket every unordered pair of them,
+# about N^8/2 flops.  The closure preallocates N(N-1)/2 x N^2 floats, 0.4 GB
+# at N = 100.
 MAX_LIE_N = 32
 
 
@@ -114,7 +114,13 @@ def _check_enumeration_budget(request, n, count, label, bound=False):
         )
 
 
+def _check_once(tokens, name):
+    if tokens.count(name) > 1:
+        raise UsageError(f"option {name!r} is repeated")
+
+
 def _pop_flag(tokens, name):
+    _check_once(tokens, name)
     if name in tokens:
         tokens.remove(name)
         return True
@@ -122,6 +128,7 @@ def _pop_flag(tokens, name):
 
 
 def _pop_value(tokens, name, cast, default):
+    _check_once(tokens, name)
     if name not in tokens:
         return default
     i = tokens.index(name)
@@ -327,7 +334,6 @@ def _segment_payload(seg):
 def _cmd_pair(tokens):
     p1, p2 = _two_partitions(tokens)
     dec = decompose(p1, p2)
-    group = generated_group(p1, p2)
     transitive = is_transitive_pair(p1, p2)
     common = has_common_subpartition(p1, p2)
     plan = first_window_with_involution(p1, p2) if p1 != p2 else None
@@ -336,8 +342,8 @@ def _cmd_pair(tokens):
         "left": inputs["left"],
         "right": inputs["right"],
         "segments": [_segment_payload(s) for s in dec.segments],
-        "factors": [[size, origin] for size, origin in group.factors],
-        "lie_dimension": group.lie_dimension,
+        "factors": [[size, origin] for size, origin in dec.factors],
+        "lie_dimension": dec.lie_dimension,
         "transitive": transitive,
         "common_subpartition": common,
         "window_plan": None
@@ -362,7 +368,7 @@ def _cmd_pair(tokens):
             )
     plain.append(
         "generated group factors "
-        + " x ".join(f"O({size})[{origin}]" for size, origin in group.factors)
+        + " x ".join(f"O({size})[{origin}]" for size, origin in dec.factors)
     )
     plain.append(f"transitive on sphere: {transitive}")
     if plan is not None:
@@ -376,26 +382,26 @@ def _cmd_pair(tokens):
 def _cmd_verify_lie(tokens):
     with_matrices = _pop_flag(tokens, "--matrices")
     p1, p2 = _two_partitions(tokens)
-    group = generated_group(p1, p2)
+    dec = decompose(p1, p2)
     if p1.n > MAX_LIE_N:
         raise DomainError(f"verify-lie takes N <= {MAX_LIE_N}, got N = {p1.n}")
     c = closure(block_algebra(p1), block_algebra(p2))
     full = transitive_on(c, (0, p1.n))
     # the group the closure measures; O(n) for {n} vs {n}, unlike is_transitive_pair
-    predicted = group.transitive_on_sphere
+    predicted = dec.transitive_on_sphere
     windows = [
         {
             "start": w.start,
             "size": w.size,
             "transitive": transitive_on(c, (w.start, w.start + w.size)),
         }
-        for w in decompose(p1, p2).windows
+        for w in dec.windows
     ]
     inputs = {"left": list(p1.parts), "right": list(p2.parts)}
     result = {
         "closure_dimension": c.dimension,
-        "predicted_lie_dimension": group.lie_dimension,
-        "dimensions_match": c.dimension == group.lie_dimension,
+        "predicted_lie_dimension": dec.lie_dimension,
+        "dimensions_match": c.dimension == dec.lie_dimension,
         "transitive_numeric": full,
         "transitive_predicted": predicted,
         "transitivity_match": full == predicted,
@@ -407,7 +413,7 @@ def _cmd_verify_lie(tokens):
     if with_matrices:
         result["basis"] = [x.tolist() for x in c.basis.elements]
     plain = [
-        f"closure dimension {c.dimension} (predicted {group.lie_dimension}, "
+        f"closure dimension {c.dimension} (predicted {dec.lie_dimension}, "
         f"match={result['dimensions_match']})",
         f"transitive on full sphere: numeric {full}, predicted {predicted}",
     ]

@@ -26,7 +26,6 @@ __all__ = [
     "MultiplicityProfile",
     "InvolutionSpec",
     "WeylDescriptor",
-    "BorelDescriptor",
     "SignRep",
     "FixedSubspaceSpec",
     "ClassCensus",
@@ -39,7 +38,6 @@ __all__ = [
     "class_census",
     "borel_classification",
     "nodal_subspaces",
-    "borel_descriptor",
 ]
 
 
@@ -88,18 +86,6 @@ class WeylDescriptor:
     order: int
     nontrivial: bool
     involutions: tuple  # one block swap per adjacent equal pair
-
-
-@dataclass(frozen=True)
-class BorelDescriptor:
-    """A maximal block subgroup in its standard frame."""
-
-    partition: Partition
-    block_offsets: tuple  # starting coordinate of each block
-
-    @property
-    def lie_dimension(self) -> int:
-        return sum(v * (v - 1) // 2 for v in self.partition.parts)
 
 
 @dataclass(frozen=True)
@@ -285,12 +271,3 @@ def nodal_subspaces(p: Partition, rho: SignRep) -> list:
         for a, b in combinations(sorted(phi_indices(p, value)), 2):
             out.append(FixedSubspaceSpec(block_a=a, block_b=b, codimension=value))
     return out
-
-
-def borel_descriptor(p: Partition) -> BorelDescriptor:
-    """Standard-frame descriptor: the block group and each block's first coordinate."""
-    offsets, acc = [], 0
-    for v in p.parts:
-        offsets.append(acc)
-        acc += v
-    return BorelDescriptor(partition=p, block_offsets=tuple(offsets))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, IndeterminateError, NumericalError, ProbeDisagreementError
-from .flags import InvolutionSpec, borel_descriptor
+from .flags import InvolutionSpec
 from .partitions import Partition
 
 __all__ = [
@@ -73,9 +73,8 @@ def block_algebra(p: Partition) -> SkewBasis:
     if p.min_part < 2:
         raise DomainError("block algebras need every part >= 2")
     n = p.n
-    desc = borel_descriptor(p)
     mats = []
-    for offset, size in zip(desc.block_offsets, p.parts):
+    for offset, size in zip((0, *p.prefix_sums()), p.parts):
         for a in range(offset, offset + size):
             for b in range(a + 1, offset + size):
                 x = np.zeros((n, n))
@@ -182,7 +181,8 @@ def closure(b1: SkewBasis, b2: SkewBasis) -> LieClosure:
     joins it through pivoted Gram-Schmidt; together they are G.  Each
     round brackets only the previous round's new elements against G,
     since left-normed brackets of G span the generated algebra, and
-    accepts the new directions.  Rounds stop once the basis spans so(n).
+    accepts the new directions; the first round forms each unordered pair
+    of G once.  Rounds stop once the basis spans so(n).
     A residual inside [DEFAULT_TOL/10, DEFAULT_TOL] raises
     IndeterminateError.
     """
@@ -207,10 +207,12 @@ def closure(b1: SkewBasis, b2: SkewBasis) -> LieClosure:
     lo, rounds = 0, 0
     while lo < m < full:
         rounds += 1
-        frontier = basis[lo:m].reshape(-1, 1, n, n)
-        step = max(1, _BATCH_FLOATS // (len(frontier) * n * n))
-        lo = m
+        hi = m
+        step = max(1, _BATCH_FLOATS // ((hi - lo) * n * n))
         for start in range(0, len(g), step):
+            # [X, Y] = -[Y, X]: the first round, whose frontier is G, pairs
+            # element i only with generators j <= i; later frontiers lie past G
+            frontier = basis[max(lo, start) : hi].reshape(-1, 1, n, n)
             xy = frontier @ g[start : start + step]
             # for skew x and y, yx is the transpose of xy
             brackets = xy - np.swapaxes(xy, -1, -2)
@@ -218,6 +220,7 @@ def closure(b1: SkewBasis, b2: SkewBasis) -> LieClosure:
             kept, dropped = min(kept, k), max(dropped, d)
             if m == full:
                 break
+        lo = hi
     basis = SkewBasis(n=n, elements=basis[:m].reshape(m, n, n).copy())
     return LieClosure(
         basis=basis,
@@ -278,8 +281,8 @@ def swap_matrix(p: Partition, inv: InvolutionSpec) -> np.ndarray:
             f"blocks {inv.block_a} and {inv.block_b} of {p} are not both of size "
             f"{inv.block_size}"
         )
-    desc = borel_descriptor(p)
-    oa, ob = desc.block_offsets[a], desc.block_offsets[b]
+    starts = (0, *p.prefix_sums())
+    oa, ob = starts[a], starts[b]
     t = np.eye(p.n)
     for i in range(inv.block_size):
         t[oa + i, oa + i] = t[ob + i, ob + i] = 0.0

@@ -20,7 +20,6 @@ __all__ = [
     "Agreement",
     "Window",
     "PairDecomposition",
-    "GroupStructure",
     "WindowPlan",
     "has_common_subpartition",
     "decompose",
@@ -67,6 +66,12 @@ class Window:
 
 @dataclass(frozen=True)
 class PairDecomposition:
+    """The generated group: one orthogonal factor per segment.
+
+    An agreement keeps its shared block's factor and a window fuses into
+    the full orthogonal group of its subspace.
+    """
+
     n: int
     segments: tuple
 
@@ -74,18 +79,21 @@ class PairDecomposition:
     def windows(self):
         return tuple(s for s in self.segments if isinstance(s, Window))
 
+    @property
+    def factors(self):
+        """((size, "agreement" | "window"), ...), one per segment."""
+        return tuple(
+            (s.size, "agreement" if isinstance(s, Agreement) else "window")
+            for s in self.segments
+        )
 
-@dataclass(frozen=True)
-class GroupStructure:
-    """Factor sizes of the generated group, tagged by their origin."""
-
-    n: int
-    factors: tuple  # ((size, "agreement" | "window"), ...)
-    lie_dimension: int
+    @property
+    def lie_dimension(self):
+        return sum(s.size * (s.size - 1) // 2 for s in self.segments)
 
     @property
     def transitive_on_sphere(self):
-        return len(self.factors) == 1 and self.factors[0][0] == self.n
+        return len(self.segments) == 1 and self.segments[0].size == self.n
 
 
 @dataclass(frozen=True)
@@ -104,11 +112,9 @@ class WindowPlan:
     block_size: int
 
 
-def _check_pair(p1: Partition, p2: Partition, min_part=1):
+def _check_pair(p1: Partition, p2: Partition):
     if p1.n != p2.n:
         raise DomainError(f"partitions of different numbers: {p1.n} vs {p2.n}")
-    if min_part > 1 and (p1.min_part < min_part or p2.min_part < min_part):
-        raise DomainError(f"every part must be >= {min_part} on both sides")
 
 
 def has_common_subpartition(p1: Partition, p2: Partition):
@@ -123,7 +129,9 @@ def has_common_subpartition(p1: Partition, p2: Partition):
 
 def decompose(p1: Partition, p2: Partition) -> PairDecomposition:
     """Alternating agreement/window decomposition (minimal windows)."""
-    _check_pair(p1, p2, min_part=2)
+    _check_pair(p1, p2)
+    if p1.min_part < 2 or p2.min_part < 2:
+        raise DomainError("every part must be >= 2 on both sides")
     a, b = p1.parts, p2.parts
     segments = []
     i = j = 0
@@ -160,15 +168,9 @@ def decompose(p1: Partition, p2: Partition) -> PairDecomposition:
     return PairDecomposition(n=p1.n, segments=tuple(segments))
 
 
-def generated_group(p1: Partition, p2: Partition) -> GroupStructure:
-    """Factors of the generated group: shared blocks survive, windows fuse."""
-    dec = decompose(p1, p2)
-    factors = tuple(
-        (seg.part, "agreement") if isinstance(seg, Agreement) else (seg.size, "window")
-        for seg in dec.segments
-    )
-    lie_dim = sum(s * (s - 1) // 2 for s, _ in factors)
-    return GroupStructure(n=p1.n, factors=factors, lie_dimension=lie_dim)
+def generated_group(p1: Partition, p2: Partition) -> PairDecomposition:
+    """The generated group, which is the decomposition: agreements survive, windows fuse."""
+    return decompose(p1, p2)
 
 
 def is_transitive_pair(p1: Partition, p2: Partition) -> bool:
@@ -178,9 +180,8 @@ def is_transitive_pair(p1: Partition, p2: Partition) -> bool:
     proper prefix sum; a single window factor of full size) are evaluated
     and must agree.
     """
-    _check_pair(p1, p2, min_part=2)
+    structural = decompose(p1, p2).factors == ((p1.n, "window"),)
     direct = p1 != p2 and has_common_subpartition(p1, p2) is None
-    structural = generated_group(p1, p2).factors == ((p1.n, "window"),)
     if direct != structural:  # pragma: no cover - the two criteria coincide
         raise InternalInvariantError(f"transitivity criteria disagree on {p1}, {p2}")
     return direct

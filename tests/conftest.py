@@ -1,7 +1,5 @@
 import sys
 from pathlib import Path
 
-try:
-    import borelcensus  # noqa: F401
-except ImportError:  # allow running pytest without an editable install
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+# the checkout's sources come first, even over an installed copy
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))

@@ -22,11 +22,17 @@ def test_all_names_resolve(module):
     assert not missing, f"{module.__name__}.__all__ names missing attributes: {missing}"
 
 
+def test_restated_group_types_are_gone():
+    # the decomposition is the generated group; prefix sums place the blocks
+    for module in MODULES:
+        for name in ("GroupStructure", "BorelDescriptor", "borel_descriptor"):
+            assert not hasattr(module, name), (module.__name__, name)
+
+
 def test_one_rank_threshold_and_no_tolerance_options():
     assert not hasattr(invverify, "RANK_TOL")
     for fn in (
         bc.generated_group,
-        bc.borel_descriptor,
         bc.intersection_dim,
         bc.transitive_on,
         bc.involution_normalizes,

@@ -41,6 +41,8 @@ MESSAGES = {
     # a negative integer is a positional, refused like 0
     "count -1": "n must be a positive integer, got -1",
     "weyl 2 -2": "parts must be positive integers, got -2",
+    "list 4 --distinct --distinct": "option '--distinct' is repeated",
+    "nodal 2 2 --delta 1 --delta 0": "option '--delta' is repeated",
 }
 
 
@@ -266,6 +268,8 @@ class TestExitCodes:
             ["count", "4", "--bogus"],
             ["count", "--bogus"],
             ["verify-lie", "2", "2", "--", "4", "--tol", "1e-9"],
+            ["list", "4", "--distinct", "--distinct"],
+            ["nodal", "2", "2", "--delta", "1", "--delta", "0"],
         ],
     )
     def test_usage_errors_exit_2(self, argv):

@@ -12,7 +12,6 @@ from borelcensus import (
     Partition,
     SignRep,
     borel_classification,
-    borel_descriptor,
     class_census,
     count_p,
     enumerate_partitions,
@@ -192,10 +191,3 @@ class TestNodalSubspaces:
         with pytest.raises(DomainError):
             SignRep((0, 2))
         assert SignRep((0, 0)).trivial and not SignRep((0, 1)).trivial
-
-
-class TestBorelDescriptor:
-    def test_offsets_and_dimension(self):
-        d = borel_descriptor(P((2, 3, 3)))
-        assert d.block_offsets == (0, 2, 5)
-        assert d.lie_dimension == 1 + 3 + 3

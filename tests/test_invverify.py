@@ -25,7 +25,6 @@ from borelcensus import (
 from borelcensus import invverify
 from borelcensus.invverify import PolySubspace
 from borelcensus.lieverify import DEFAULT_RANK_TOL
-from borelcensus.flags import borel_descriptor
 
 P = Partition
 RNG = np.random.default_rng(24)
@@ -45,7 +44,7 @@ def poly_eval(poly, x):
 def block_rotation(p, block, rng):
     """Random special-orthogonal rotation acting on one block only."""
     size = p.parts[block]
-    offset = borel_descriptor(p).block_offsets[block]
+    offset = (0, *p.prefix_sums())[block]
     q, _ = np.linalg.qr(rng.standard_normal((size, size)))
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
@@ -56,13 +55,13 @@ def block_rotation(p, block, rng):
 
 def block_alpha(p, exps):
     """Block-norm powers of a monomial: half the exponent sum of each block."""
-    offsets = borel_descriptor(p).block_offsets
+    offsets = (0, *p.prefix_sums())
     return tuple(sum(exps[o : o + size]) // 2 for o, size in zip(offsets, p.parts))
 
 
 def norm_monomial_eval(p, alpha, x):
     """prod_j q_j(x)^alpha_j with the block norms q_j computed numerically."""
-    offsets = borel_descriptor(p).block_offsets
+    offsets = (0, *p.prefix_sums())
     return float(
         np.prod([np.sum(x[o : o + size] ** 2) ** k for o, size, k in zip(offsets, p.parts, alpha)])
     )
@@ -109,7 +108,7 @@ def coordinate_space(p, swap, d):
 
 def block_swap_map(p, a, b):
     """Coordinate permutation exchanging blocks a and b (1-based)."""
-    offsets = borel_descriptor(p).block_offsets
+    offsets = (0, *p.prefix_sums())
     size = p.parts[a - 1]
     perm = list(range(p.n))
     for i in range(size):

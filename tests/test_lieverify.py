@@ -20,6 +20,7 @@ from borelcensus import (
     is_transitive_pair,
     transitive_on,
 )
+from borelcensus import lieverify
 from borelcensus.lieverify import DEFAULT_TOL, SkewBasis, _accept, swap_matrix
 
 P = Partition
@@ -47,6 +48,16 @@ class TestBlockAlgebra:
         # no generator mixes the two blocks
         assert np.max(np.abs(b.elements[:, :2, 2:])) == 0
         assert np.max(np.abs(b.elements[:, 2:, :2])) == 0
+
+    def test_block_placement(self):
+        # blocks start at the prefix sums 0, 2, 5 of {2,3,3}
+        p = P((2, 3, 3))
+        support = np.zeros((8, 8), dtype=bool)
+        for lo, hi in ((0, 2), (2, 5), (5, 8)):
+            support[lo:hi, lo:hi] = True
+        assert np.max(np.abs(block_algebra(p).elements[:, ~support])) == 0
+        t = swap_matrix(p, InvolutionSpec(2, 3, 3))
+        assert np.array_equal(t[:, [0, 1, 5, 6, 7, 2, 3, 4]], np.eye(8))
 
 
 class TestClosure:
@@ -103,6 +114,30 @@ class TestClosure:
             closure(SkewBasis(n=3, elements=np.stack([x, x])), b)
         with pytest.raises(DomainError, match="not orthonormal"):
             closure(b, SkewBasis(n=3, elements=2.0 * x[None]))
+
+    def test_first_round_brackets_each_unordered_pair_once(self, monkeypatch):
+        # at n = 20 every slice of G is one generator, and the first round
+        # stops short of so(20): the generated group is O(2) x O(18)
+        p1, p2 = P((2, 9, 9)), P((2, 3, 15))
+        calls = []
+
+        def spy(basis, m, batch):
+            calls.append((m, len(batch)))
+            return _accept(basis, m, batch)
+
+        monkeypatch.setattr(lieverify, "_accept", spy)
+        c = closure(block_algebra(p1), block_algebra(p2))
+        assert c.dimension == decompose(p1, p2).lie_dimension == 154 < 190
+        # G: the two block algebras (73 and 109 elements) less the algebra of
+        # their common refinement, which both contain
+        size_g = 73 + 109 - block_algebra(P((2, 3, 6, 9))).count
+        assert calls[1][0] == size_g == 127
+        assert lieverify._BATCH_FLOATS // (size_g * 20 * 20) == 1
+        # after the seed's call, generator j meets the frontier rows i >= j:
+        # |G|(|G|+1)/2 brackets where every ordered pair would be |G|^2
+        rows = [r for _m, r in calls[1 : 1 + size_g]]
+        assert rows == list(range(size_g, 0, -1))
+        assert sum(rows) == size_g * (size_g + 1) // 2
 
     def test_seed_spanning_so_n_runs_no_round(self):
         c = closure(block_algebra(P((4,))), block_algebra(P((2, 2))))

@@ -123,6 +123,10 @@ class TestTransitivity:
         assert not is_transitive_pair(P((4, 4)), P((2, 2, 2, 2)))
         assert not is_transitive_pair(P((2, 2)), P((2, 2)))
 
+    def test_parts_of_one_rejected(self):
+        with pytest.raises(DomainError, match="every part must be >= 2 on both sides"):
+            is_transitive_pair(P((1, 3)), P((2, 2)))
+
     def test_three_criteria_agree(self):
         for n in range(4, 13):
             parts = enumerate_partitions(n, 2)
@@ -186,9 +190,11 @@ class TestSeededDecompose:
             ]
             assert got == want, (p1, p2)
             factors = tuple((size, kind) for kind, _lo, size, *_rest in want)
-            g = generated_group(p1, p2)
-            assert g.factors == factors, (p1, p2)
-            assert g.lie_dimension == sum(s * (s - 1) // 2 for s, _ in factors)
+            dec = decompose(p1, p2)
+            assert generated_group(p1, p2) == dec, (p1, p2)
+            assert dec.factors == factors, (p1, p2)
+            assert dec.lie_dimension == sum(s * (s - 1) // 2 for s, _ in factors)
+            assert dec.transitive_on_sphere == (common == [0, n]), (p1, p2)
             proper = [c for c in common if 0 < c < n]
             assert has_common_subpartition(p1, p2) == (min(proper) if proper else None)
             transitive = p1 != p2 and not proper

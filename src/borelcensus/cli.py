@@ -38,7 +38,6 @@ from .lieverify import closure, block_algebra, transitive_on
 from .pairs import (
     Agreement,
     decompose,
-    first_window_with_involution,
     has_common_subpartition,
     is_transitive_pair,
 )
@@ -336,7 +335,7 @@ def _cmd_pair(tokens):
     dec = decompose(p1, p2)
     transitive = is_transitive_pair(p1, p2)
     common = has_common_subpartition(p1, p2)
-    plan = first_window_with_involution(p1, p2) if p1 != p2 else None
+    plan = dec.window_plan
     inputs = {"left": list(p1.parts), "right": list(p2.parts)}
     result = {
         "left": inputs["left"],

@@ -52,12 +52,6 @@ class MultiplicityProfile:
     n: int
     counts: tuple
 
-    def multiplicity(self, value: int) -> int:
-        for v, m in self.counts:
-            if v == value:
-                return m
-        return 0
-
     @property
     def psi(self) -> dict:
         return dict(self.counts)

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import DomainError, InternalInvariantError, NumericalError
 from .flags import SignRep, _signed_factors, weyl
 from .lieverify import _rank
-from .pairs import decompose, first_window_with_involution, _window_swap
+from .pairs import decompose
 from .partitions import Partition
 
 __all__ = [
@@ -283,6 +283,7 @@ def swap_antisymmetric_space(p: Partition, block_a: int, block_b: int, d: int) -
     return PolySubspace(n=p.n, degree_cap=d, basis=tuple(basis), dim=len(basis))
 
 
+# Kept apart from _signed_orbit: a swap routed through it made verify_pair about 1.5x slower.
 def _swap_basis(length, a, b, d, expand):
     """q^alpha - q^alpha' for each alpha with alpha[a] > alpha[b] (0-based blocks).
 
@@ -471,15 +472,15 @@ def _plan(p1, p2, degree):
     if p1 == p2:
         raise DomainError("the two partitions must differ")
     _check_degree(degree)
-    plan = first_window_with_involution(p1, p2)
+    dec = decompose(p1, p2)
+    plan = dec.window_plan
     if plan is None:
         raise DomainError(f"no window of ({p1}, {p2}) contains an equal-block pair")
-    windows = decompose(p1, p2).windows
 
-    # the carrier's first window swap is the plan's swap, so one scan serves both sides
+    # the carrier's first window swap is the plan's swap
     swaps = []
     for side, p in ((1, p1), (2, p2)):
-        found = next(filter(None, (_window_swap(w, side) for w in windows)), None)
+        found = next(filter(None, (w.swap(side) for w in dec.windows)), None)
         if found is not None:
             swaps.append(found[:2])
         else:

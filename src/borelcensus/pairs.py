@@ -25,7 +25,6 @@ __all__ = [
     "decompose",
     "generated_group",
     "is_transitive_pair",
-    "first_window_with_involution",
 ]
 
 
@@ -63,6 +62,18 @@ class Window:
         if self.h_parts == self.k_parts:
             raise DomainError("a window needs differing parts on the two sides")
 
+    def swap(self, side: int):
+        """First equal-block pair on side 1 or 2 as (block_a, block_b, block_size), or None.
+
+        Adjacent equal parts inside a window of a canonical partition are
+        the only equal parts there, so scanning neighbors finds every pair.
+        """
+        parts, first = (self.h_parts, self.h_first) if side == 1 else (self.k_parts, self.k_first)
+        for t in range(len(parts) - 1):
+            if parts[t] == parts[t + 1]:
+                return first + t, first + t + 1, parts[t]
+        return None
+
 
 @dataclass(frozen=True)
 class PairDecomposition:
@@ -94,6 +105,24 @@ class PairDecomposition:
     @property
     def transitive_on_sphere(self):
         return len(self.segments) == 1 and self.segments[0].size == self.n
+
+    @property
+    def window_plan(self):
+        """First window holding an equal-block pair on either side, with the swap.
+
+        Side 1 is preferred when both qualify.  None when no window has a
+        repeated part (equal partitions have no windows at all), in which
+        case the pair supports no window-local involution.
+        """
+        for window in self.windows:
+            for side in (1, 2):
+                found = window.swap(side)
+                if found is not None:
+                    a, b, size = found
+                    return WindowPlan(
+                        window=window, side=side, block_a=a, block_b=b, block_size=size
+                    )
+        return None
 
 
 @dataclass(frozen=True)
@@ -185,36 +214,3 @@ def is_transitive_pair(p1: Partition, p2: Partition) -> bool:
     if direct != structural:  # pragma: no cover - the two criteria coincide
         raise InternalInvariantError(f"transitivity criteria disagree on {p1}, {p2}")
     return direct
-
-
-def _window_swap(window: Window, side: int):
-    # Adjacent equal parts inside a window of a canonical partition are the
-    # only equal parts there, so scanning neighbors finds every pair.
-    parts, first = (
-        (window.h_parts, window.h_first) if side == 1 else (window.k_parts, window.k_first)
-    )
-    for t in range(len(parts) - 1):
-        if parts[t] == parts[t + 1]:
-            return first + t, first + t + 1, parts[t]
-    return None
-
-
-def first_window_with_involution(p1: Partition, p2: Partition):
-    """First window holding an equal-block pair on either side, with the swap.
-
-    Side 1 is preferred when both qualify.  None when no window has a
-    repeated part, in which case the pair supports no window-local
-    involution.
-    """
-    if p1 == p2:
-        raise DomainError("the two partitions must differ")
-    dec = decompose(p1, p2)
-    for window in dec.windows:
-        for side in (1, 2):
-            found = _window_swap(window, side)
-            if found is not None:
-                a, b, size = found
-                return WindowPlan(
-                    window=window, side=side, block_a=a, block_b=b, block_size=size
-                )
-    return None

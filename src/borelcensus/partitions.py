@@ -44,13 +44,14 @@ class Partition:
     parts: tuple
 
     def __post_init__(self):
-        parts = tuple(sorted(self.parts))
+        parts = tuple(self.parts)
         if not parts:
             raise DomainError("a partition needs at least one part")
+        # checked before sorting, which would raise TypeError on mixed types
         for v in parts:
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise DomainError(f"parts must be positive integers, got {v!r}")
-        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "parts", tuple(sorted(parts)))
 
     @property
     def n(self) -> int:

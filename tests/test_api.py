@@ -25,7 +25,14 @@ def test_all_names_resolve(module):
 def test_restated_group_types_are_gone():
     # the decomposition is the generated group; prefix sums place the blocks
     for module in MODULES:
-        for name in ("GroupStructure", "BorelDescriptor", "borel_descriptor"):
+        for name in (
+            "GroupStructure",
+            "BorelDescriptor",
+            "borel_descriptor",
+            # the window plan and its swaps are read off the decomposition
+            "first_window_with_involution",
+            "_window_swap",
+        ):
             assert not hasattr(module, name), (module.__name__, name)
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import borelcensus.cli as cli
-from borelcensus import flags
+from borelcensus import Partition, flags, pairs, verify_pair
 from borelcensus.errors import IndeterminateError
 
 
@@ -331,6 +331,33 @@ class TestExitCodes:
     def test_help_exits_0(self):
         code, out, _ = run(["help"])
         assert code == 0 and "commands:" in out
+
+
+@pytest.mark.parametrize(
+    "call,expected",
+    [
+        (lambda: verify_pair(Partition((4, 4)), Partition((2, 2, 2, 2)), 4), 1),
+        # is_transitive_pair keeps its own decomposition as a cross-check
+        (lambda: run(["pair", "4", "4", "--", "2", "2", "2", "2"]), 2),
+        # the budget check plans the spaces before verify_pair builds them
+        (lambda: run(["verify-inv", "4", "4", "--", "2", "2", "2", "2", "--degree", "4"]), 2),
+        (lambda: run(["verify-lie", "4", "4", "--", "2", "2", "2", "2"]), 1),
+    ],
+    ids=["verify_pair", "pair", "verify-inv", "verify-lie"],
+)
+def test_decompositions_per_call(monkeypatch, call, expected):
+    real = pairs.decompose
+    calls = []
+
+    def spy(p1, p2):
+        calls.append((p1, p2))
+        return real(p1, p2)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("borelcensus") and getattr(module, "decompose", None) is real:
+            monkeypatch.setattr(module, "decompose", spy)
+    call()
+    assert len(calls) == expected
 
 
 def _fuzz_int(rng, hi):

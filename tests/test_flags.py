@@ -39,7 +39,7 @@ class TestProfile:
             prof = profile(p)
             assert sum(v * m for v, m in prof.counts) == p.n
             assert sum(m for _, m in prof.counts) == p.length
-            assert prof.multiplicity(p.n + 1) == 0
+            assert p.n + 1 not in prof.psi
 
     def test_phi_indices(self):
         assert phi_indices(P((2, 2, 3)), 2) == frozenset({1, 2})

@@ -13,7 +13,6 @@ from borelcensus import (
     decompose,
     enumerate_partitions,
     family,
-    first_window_with_involution,
     generated_group,
     has_common_subpartition,
     is_transitive_pair,
@@ -207,28 +206,28 @@ class TestSeededDecompose:
 
 class TestWindowPlan:
     def test_example_pair(self):
-        plan = first_window_with_involution(P((4, 4)), P((2, 2, 2, 2)))
+        plan = decompose(P((4, 4)), P((2, 2, 2, 2))).window_plan
         assert plan.side == 2
         assert (plan.block_a, plan.block_b, plan.block_size) == (1, 2, 2)
         assert (plan.window.start, plan.window.size) == (0, 4)
 
     def test_absent_when_no_window_pair(self):
-        assert first_window_with_involution(P((2, 2, 4)), P((2, 6))) is None
+        assert decompose(P((2, 2, 4)), P((2, 6))).window_plan is None
 
     def test_side_one_preferred(self):
-        plan = first_window_with_involution(P((6, 6)), P((2, 2, 4, 4)))
+        plan = decompose(P((6, 6)), P((2, 2, 4, 4))).window_plan
         assert plan.side == 1 and (plan.block_a, plan.block_b) == (1, 2)
 
-    def test_equal_partitions_rejected(self):
-        with pytest.raises(DomainError):
-            first_window_with_involution(P((2, 2)), P((2, 2)))
+    def test_equal_partitions_have_no_plan(self):
+        # equal partitions decompose into agreements only, so no window carries a swap
+        assert decompose(P((2, 2)), P((2, 2))).window_plan is None
 
     def test_swap_lies_inside_window(self):
         for n in (8, 12, 16):
             members = family(n).members
             for i in range(len(members)):
                 for j in range(i + 1, len(members)):
-                    plan = first_window_with_involution(members[i], members[j])
+                    plan = decompose(members[i], members[j]).window_plan
                     assert plan is not None
                     p = members[i] if plan.side == 1 else members[j]
                     sums = (0,) + p.prefix_sums()

@@ -63,7 +63,7 @@ class TestPartitionType:
         assert p.n == 7 and p.length == 3 and p.min_part == 2
         assert p.prefix_sums() == (2, 4, 7)
 
-    @pytest.mark.parametrize("bad", [(), (0,), (-1, 2), (1.5, 2), (True, 2)])
+    @pytest.mark.parametrize("bad", [(), (0,), (-1, 2), (1.5, 2), (True, 2), (2, "x"), (2, None)])
     def test_rejects_bad_parts(self, bad):
         with pytest.raises(DomainError):
             Partition(bad)

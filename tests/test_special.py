@@ -11,7 +11,6 @@ from borelcensus import (
     double_partition,
     equivalent,
     family,
-    first_window_with_involution,
     solutions_count,
     weyl,
 )
@@ -99,7 +98,7 @@ class TestFamily:
                 for j in range(i + 1, len(members)):
                     dec = decompose(members[i], members[j])
                     assert dec.windows, (members[i], members[j])
-                    assert first_window_with_involution(members[i], members[j]) is not None
+                    assert dec.window_plan is not None
 
 
 class TestFamilyChecks:

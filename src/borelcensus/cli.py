@@ -351,9 +351,9 @@ def _cmd_pair(tokens):
             "window_start": plan.window.start,
             "window_size": plan.window.size,
             "side": plan.side,
-            "block_a": plan.block_a,
-            "block_b": plan.block_b,
-            "block_size": plan.block_size,
+            "block_a": plan.swap.block_a,
+            "block_b": plan.swap.block_b,
+            "block_size": plan.swap.block_size,
         },
     }
     plain = [f"{p1} vs {p2}"]
@@ -372,8 +372,8 @@ def _cmd_pair(tokens):
     plain.append(f"transitive on sphere: {transitive}")
     if plan is not None:
         plain.append(
-            f"window swap: side {plan.side} blocks {plan.block_a},{plan.block_b} "
-            f"(size {plan.block_size})"
+            f"window swap: side {plan.side} blocks {plan.swap.block_a},{plan.swap.block_b} "
+            f"(size {plan.swap.block_size})"
         )
     return inputs, result, [], plain
 
@@ -470,12 +470,12 @@ def _cmd_nodal(tokens):
         "partition": inputs["partition"],
         "deltas": inputs["deltas"],
         "subspaces": [
-            {"block_a": s.block_a, "block_b": s.block_b, "codimension": s.codimension}
+            {"block_a": s.block_a, "block_b": s.block_b, "codimension": s.block_size}
             for s in specs
         ],
     }
     plain = [
-        f"swap blocks {s.block_a},{s.block_b}: fixed subspace of codimension {s.codimension}"
+        f"swap blocks {s.block_a},{s.block_b}: fixed subspace of codimension {s.block_size}"
         for s in specs
     ] or ["no signed swaps (all deltas are 0)"]
     return inputs, result, [], plain

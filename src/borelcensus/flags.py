@@ -2,14 +2,14 @@
 
 A flag class is its canonical (non-decreasing) partition; the Weyl group
 of the associated block subgroup O(N_1) x ... x O(N_r) is the product of
-symmetric groups permuting equal-size blocks, one per entry of the
-multiplicity profile.  This module computes the profile, the equivalence
-test, orbit lengths, Weyl descriptors, the class census, the static
-classification of connected groups transitive on spheres, and the fixed
-subspaces contributing to nodal sets.
+symmetric groups permuting equal-size blocks, one per entry of
+weyl(p).factors, the multiplicity table.  This module computes the
+equivalence test, orbit lengths, Weyl descriptors, the class census, the
+static classification of connected groups transitive on spheres, and the
+signed block swaps whose fixed subspaces contribute to nodal sets.
 
-Block indices exposed here (InvolutionSpec, phi_indices, nodal subspaces)
-are 1-based positions in the canonical non-decreasing partition.
+Block indices exposed here (InvolutionSpec, phi_indices) are 1-based
+positions in the canonical non-decreasing partition.
 """
 
 from __future__ import annotations
@@ -23,13 +23,10 @@ from .errors import DomainError, InternalInvariantError
 from .partitions import Partition, _tuples, partition_counts
 
 __all__ = [
-    "MultiplicityProfile",
     "InvolutionSpec",
     "WeylDescriptor",
     "SignRep",
-    "FixedSubspaceSpec",
     "ClassCensus",
-    "profile",
     "phi_indices",
     "equivalent",
     "orbit_length",
@@ -42,34 +39,45 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class MultiplicityProfile:
-    """Part value -> multiplicity: the Weyl factors of a flag class.
-
-    counts holds (value, multiplicity) pairs sorted by value; values not
-    listed have multiplicity 0.
-    """
-
-    n: int
-    counts: tuple
-
-    @property
-    def psi(self) -> dict:
-        return dict(self.counts)
-
-
-@dataclass(frozen=True)
 class InvolutionSpec:
-    """A transposition of two equal-size blocks (1-based block positions)."""
+    """A transposition of two equal-size blocks (1-based block positions).
+
+    Acting by -1, it fixes the subspace where the two blocks agree
+    coordinate-wise, whose codimension is block_size.
+    """
 
     block_a: int
     block_b: int
     block_size: int
 
     def __post_init__(self):
-        if not (1 <= self.block_a < self.block_b):
+        for name in ("block_a", "block_b", "block_size"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+                raise DomainError(f"{name} must be a positive integer, got {v!r}")
+        if self.block_a >= self.block_b:
             raise DomainError("need 1 <= block_a < block_b")
-        if self.block_size < 1:
-            raise DomainError("block_size must be positive")
+
+    def check(self, p: Partition):
+        """Refuse a swap whose blocks are out of range for p or not both of block_size."""
+        if self.block_b > p.length:
+            raise DomainError(f"block indices {self.block_a}, {self.block_b} out of range for {p}")
+        if not p.parts[self.block_a - 1] == p.parts[self.block_b - 1] == self.block_size:
+            raise DomainError(
+                f"blocks {self.block_a} and {self.block_b} of {p} are not both of size "
+                f"{self.block_size}"
+            )
+
+
+def _adjacent_swaps(parts, first=1):
+    """One InvolutionSpec per adjacent equal pair of parts; parts[0] is block first.
+
+    parts is sorted, so equal parts sit in runs and the adjacent swaps
+    generate each run's symmetric group.
+    """
+    for t in range(len(parts) - 1):
+        if parts[t] == parts[t + 1]:
+            yield InvolutionSpec(first + t, first + t + 1, parts[t])
 
 
 @dataclass(frozen=True)
@@ -94,24 +102,15 @@ class SignRep:
     deltas: tuple
 
     def __post_init__(self):
-        deltas = tuple(int(d) for d in self.deltas)
+        deltas = tuple(self.deltas)
         for d in deltas:
-            if d not in (0, 1):
-                raise DomainError("deltas must be 0 or 1")
+            if not isinstance(d, int) or isinstance(d, bool) or d not in (0, 1):
+                raise DomainError(f"deltas must be the integers 0 or 1, got {d!r}")
         object.__setattr__(self, "deltas", deltas)
 
     @property
     def trivial(self) -> bool:
         return all(d == 0 for d in self.deltas)
-
-
-@dataclass(frozen=True)
-class FixedSubspaceSpec:
-    """Fixed subspace of a signed block swap; codimension equals the block size."""
-
-    block_a: int
-    block_b: int
-    codimension: int
 
 
 @dataclass(frozen=True)
@@ -125,11 +124,6 @@ class ClassCensus:
     total_ge2: int
     trivial_weyl_ge2: int
     nontrivial_weyl_ge2: int
-
-
-def profile(p: Partition) -> MultiplicityProfile:
-    """Multiplicity profile of a partition (count of each part value)."""
-    return MultiplicityProfile(n=p.n, counts=tuple(sorted(Counter(p.parts).items())))
 
 
 def phi_indices(p: Partition, value: int) -> frozenset:
@@ -147,34 +141,26 @@ def equivalent(p1: Partition, p2: Partition) -> bool:
 def orbit_length(p: Partition) -> int:
     """Length of the index-permutation orbit: r! / prod over values of mult!."""
     num = math.factorial(p.length)
-    for _, m in profile(p).counts:
+    for m in Counter(p.parts).values():
         num //= math.factorial(m)
     return num
 
 
 def weyl(p: Partition) -> WeylDescriptor:
     """Weyl descriptor of the flag: factors, order, canonical involutions."""
-    counts = profile(p).counts
-    order = 1
-    for _, m in counts:
-        order *= math.factorial(m)
-    parts = p.parts
-    invs = tuple(
-        InvolutionSpec(block_a=j, block_b=j + 1, block_size=parts[j - 1])
-        for j in range(1, len(parts))
-        if parts[j - 1] == parts[j]
-    )
+    factors = tuple(sorted(Counter(p.parts).items()))
+    order = math.prod(math.factorial(m) for _, m in factors)
     return WeylDescriptor(
-        factors=counts,
+        factors=factors,
         order=order,
         nontrivial=order >= 2,
-        involutions=invs,
+        involutions=tuple(_adjacent_swaps(p.parts)),
     )
 
 
 def nontrivial_factors(p: Partition) -> tuple:
     """The Weyl factors with multiplicity >= 2, ordered by part value."""
-    return tuple((v, m) for v, m in profile(p).counts if m >= 2)
+    return tuple((v, m) for v, m in weyl(p).factors if m >= 2)
 
 
 def _signed_factors(p, rho):
@@ -249,7 +235,7 @@ def borel_classification(n: int) -> list:
 
 
 def nodal_subspaces(p: Partition, rho: SignRep) -> list:
-    """Fixed subspaces of the signed block swaps, one per transposition.
+    """The signed block swaps, one per transposition, as InvolutionSpecs.
 
     For every Weyl factor carrying delta = 1 and every unordered pair of
     blocks of that size, the swap fixes the subspace where the two blocks
@@ -263,5 +249,5 @@ def nodal_subspaces(p: Partition, rho: SignRep) -> list:
         if delta != 1:
             continue
         for a, b in combinations(sorted(phi_indices(p, value)), 2):
-            out.append(FixedSubspaceSpec(block_a=a, block_b=b, codimension=value))
+            out.append(InvolutionSpec(block_a=a, block_b=b, block_size=value))
     return out

@@ -35,7 +35,7 @@ from math import comb, factorial, prod
 import numpy as np
 
 from .errors import DomainError, InternalInvariantError, NumericalError
-from .flags import SignRep, _signed_factors, weyl
+from .flags import InvolutionSpec, SignRep, _signed_factors, weyl
 from .lieverify import _rank
 from .pairs import decompose
 from .partitions import Partition
@@ -264,8 +264,8 @@ def intertwining_space(p: Partition, rho: SignRep, d: int) -> PolySubspace:
     return PolySubspace(n=p.n, degree_cap=d, basis=tuple(basis), dim=len(basis))
 
 
-def swap_antisymmetric_space(p: Partition, block_a: int, block_b: int, d: int) -> PolySubspace:
-    """Invariants antisymmetric under one swap of equal blocks (1-based).
+def swap_antisymmetric_space(p: Partition, inv: InvolutionSpec, d: int) -> PolySubspace:
+    """Invariants antisymmetric under one swap of equal blocks.
 
     This is the fixed-point space of the group generated by the block
     subgroup and the single transposition, with the transposition acting
@@ -274,22 +274,19 @@ def swap_antisymmetric_space(p: Partition, block_a: int, block_b: int, d: int) -
     """
     _check_parts(p)
     _check_degree(d)
-    a, b = block_a - 1, block_b - 1
-    if not (0 <= a < b < p.length):
-        raise DomainError(f"block indices {block_a}, {block_b} out of range for {p}")
-    if p.parts[a] != p.parts[b]:
-        raise DomainError(f"blocks {block_a} and {block_b} of {p} differ in size")
-    basis = _swap_basis(p.length, a, b, d, lambda alpha: _norm_monomial(alpha, p.parts))
+    inv.check(p)
+    basis = _swap_basis(p.length, inv, d, lambda alpha: _norm_monomial(alpha, p.parts))
     return PolySubspace(n=p.n, degree_cap=d, basis=tuple(basis), dim=len(basis))
 
 
 # Kept apart from _signed_orbit: a swap routed through it made verify_pair about 1.5x slower.
-def _swap_basis(length, a, b, d, expand):
-    """q^alpha - q^alpha' for each alpha with alpha[a] > alpha[b] (0-based blocks).
+def _swap_basis(length, swap, d, expand):
+    """q^alpha - q^alpha' for each alpha with a larger entry on swap's first block.
 
-    alpha' is alpha with entries a and b exchanged, and expand writes a
-    block-norm monomial in the caller's variables.
+    alpha' is alpha with the two swapped blocks' entries exchanged, and
+    expand writes a block-norm monomial in the caller's variables.
     """
+    a, b = swap.block_a - 1, swap.block_b - 1
     basis = []
     for alpha in _alphas(length, d // 2):
         if alpha[a] <= alpha[b]:
@@ -412,7 +409,7 @@ def _refined_basis(p, swap, d, cuts):
 
     if swap is None:
         return [expand(alpha) for alpha in _alphas(p.length, d // 2)]
-    return _swap_basis(p.length, swap[0] - 1, swap[1] - 1, d, expand)
+    return _swap_basis(p.length, swap, d, expand)
 
 
 def _refined_intersection(p1, swap1, p2, swap2, d):
@@ -453,8 +450,8 @@ def _refined_intersection(p1, swap1, p2, swap2, d):
 def _space_dim(p, swap, d):
     """Closed-form dim of a side's space, before any basis is built.
 
-    Stars and bars for all block-norm monomials; with a swap (a, b), half
-    of those whose entries a and b differ.
+    Stars and bars for all block-norm monomials; with a swap, half of
+    those whose entries on the two swapped blocks differ.
     """
     length, w = p.length, d // 2
     total = comb(length + w, length)
@@ -478,15 +475,12 @@ def _plan(p1, p2, degree):
         raise DomainError(f"no window of ({p1}, {p2}) contains an equal-block pair")
 
     # the carrier's first window swap is the plan's swap
-    swaps = []
-    for side, p in ((1, p1), (2, p2)):
-        found = next(filter(None, (w.swap(side) for w in dec.windows)), None)
-        if found is not None:
-            swaps.append(found[:2])
-        else:
-            invs = weyl(p).involutions
-            swaps.append((invs[0].block_a, invs[0].block_b) if invs else None)
-    return plan, tuple(swaps)
+    swaps = tuple(
+        next(filter(None, (w.swap(side) for w in dec.windows)), None)
+        or next(iter(weyl(p).involutions), None)
+        for side, p in ((1, p1), (2, p2))
+    )
+    return plan, swaps
 
 
 def pair_space_dims(p1: Partition, p2: Partition, degree: int = 6) -> tuple:
@@ -516,7 +510,7 @@ def verify_pair(p1: Partition, p2: Partition, degree: int = 6) -> IndependenceRe
         window_start=plan.window.start,
         window_size=plan.window.size,
         carrier_side=plan.side,
-        swaps=swaps,
+        swaps=tuple(None if s is None else (s.block_a, s.block_b) for s in swaps),
         dims=dims,
         intersection=inter,
         passed=inter == 0,

@@ -272,17 +272,9 @@ def transitive_on(c: LieClosure, window) -> bool:
 
 def swap_matrix(p: Partition, inv: InvolutionSpec) -> np.ndarray:
     """Permutation matrix exchanging the two blocks coordinate-by-coordinate."""
-    parts = p.parts
-    a, b = inv.block_a - 1, inv.block_b - 1
-    if not (0 <= a < b < len(parts)):
-        raise DomainError(f"block indices {inv.block_a}, {inv.block_b} out of range")
-    if parts[a] != parts[b] or parts[a] != inv.block_size:
-        raise DomainError(
-            f"blocks {inv.block_a} and {inv.block_b} of {p} are not both of size "
-            f"{inv.block_size}"
-        )
+    inv.check(p)
     starts = (0, *p.prefix_sums())
-    oa, ob = starts[a], starts[b]
+    oa, ob = starts[inv.block_a - 1], starts[inv.block_b - 1]
     t = np.eye(p.n)
     for i in range(inv.block_size):
         t[oa + i, oa + i] = t[ob + i, ob + i] = 0.0
@@ -291,15 +283,17 @@ def swap_matrix(p: Partition, inv: InvolutionSpec) -> np.ndarray:
 
 
 def involution_normalizes(p: Partition, inv: InvolutionSpec) -> bool:
-    """Check T X T^-1 stays in the block algebra's span for every basis X."""
+    """Check T X T^-1 stays in the block algebra's span for every basis X.
+
+    A residual inside [DEFAULT_TOL/10, DEFAULT_TOL] raises IndeterminateError.
+    """
     t = swap_matrix(p, inv)
     if np.max(np.abs(t @ t - np.eye(p.n))) > 0:
         raise NumericalError("swap matrix is not an involution")  # pragma: no cover
     basis = block_algebra(p)
     flat = basis.elements.reshape(basis.count, -1)
-    for x in basis.elements:
-        y = (t @ x @ t).ravel()
-        resid = y - flat.T @ (flat @ y)
-        if np.linalg.norm(resid) > DEFAULT_TOL:
-            return False
-    return True
+    y = (t @ basis.elements @ t).reshape(basis.count, -1)
+    resid = y - (y @ flat.T) @ flat
+    norms = np.sqrt(np.einsum("ij,ij->i", resid, resid))
+    _check_band(norms, DEFAULT_TOL, "normalizer residual")
+    return bool(np.all(norms < DEFAULT_TOL))

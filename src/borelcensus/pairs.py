@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, InternalInvariantError
+from .flags import InvolutionSpec, _adjacent_swaps
 from .partitions import Partition
 
 __all__ = [
@@ -63,16 +64,9 @@ class Window:
             raise DomainError("a window needs differing parts on the two sides")
 
     def swap(self, side: int):
-        """First equal-block pair on side 1 or 2 as (block_a, block_b, block_size), or None.
-
-        Adjacent equal parts inside a window of a canonical partition are
-        the only equal parts there, so scanning neighbors finds every pair.
-        """
+        """First swap of adjacent equal blocks on side 1 or 2 inside the window, or None."""
         parts, first = (self.h_parts, self.h_first) if side == 1 else (self.k_parts, self.k_first)
-        for t in range(len(parts) - 1):
-            if parts[t] == parts[t + 1]:
-                return first + t, first + t + 1, parts[t]
-        return None
+        return next(_adjacent_swaps(parts, first), None)
 
 
 @dataclass(frozen=True)
@@ -116,12 +110,9 @@ class PairDecomposition:
         """
         for window in self.windows:
             for side in (1, 2):
-                found = window.swap(side)
-                if found is not None:
-                    a, b, size = found
-                    return WindowPlan(
-                        window=window, side=side, block_a=a, block_b=b, block_size=size
-                    )
+                swap = window.swap(side)
+                if swap is not None:
+                    return WindowPlan(window=window, side=side, swap=swap)
         return None
 
 
@@ -129,16 +120,14 @@ class PairDecomposition:
 class WindowPlan:
     """A window together with an order-two block swap localized inside it.
 
-    side is 1 or 2; block_a/block_b are 1-based positions in that side's
-    canonical partition; the swapped blocks have size block_size and lie
-    entirely inside the window, so the swap acts trivially outside it.
+    side is 1 or 2; swap's blocks are 1-based positions in that side's
+    canonical partition and lie entirely inside the window, so the swap
+    acts trivially outside it.
     """
 
     window: Window
     side: int
-    block_a: int
-    block_b: int
-    block_size: int
+    swap: InvolutionSpec
 
 
 def _check_pair(p1: Partition, p2: Partition):

@@ -174,7 +174,7 @@ def test_criterion_9_property_suites():
                 assert bc.orbit_length(p) * bc.weyl(p).order == math.factorial(p.length)
         # equivalence classes count P(n) for n <= 12
         for n in range(1, 13):
-            classes = {bc.profile(p).counts for p in bc.enumerate_partitions(n)}
+            classes = {bc.weyl(p).factors for p in bc.enumerate_partitions(n)}
             assert len(classes) == bc.count_p(n)
         # pentagonal recurrence against an independent DP up to 200
         dp = [0] * 201

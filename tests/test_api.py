@@ -32,6 +32,10 @@ def test_restated_group_types_are_gone():
             # the window plan and its swaps are read off the decomposition
             "first_window_with_involution",
             "_window_swap",
+            # weyl(p).factors is the multiplicity table; a block swap is an InvolutionSpec
+            "MultiplicityProfile",
+            "FixedSubspaceSpec",
+            "profile",
         ):
             assert not hasattr(module, name), (module.__name__, name)
 

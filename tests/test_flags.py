@@ -1,6 +1,7 @@
-"""Flag classification: profiles, Weyl groups, census, nodal subspaces."""
+"""Flag classification: multiplicity tables, Weyl groups, census, nodal swaps."""
 
 import math
+import re
 from dataclasses import replace
 from itertools import permutations
 
@@ -9,6 +10,7 @@ import pytest
 from borelcensus import (
     DomainError,
     InternalInvariantError,
+    InvolutionSpec,
     Partition,
     SignRep,
     borel_classification,
@@ -19,7 +21,6 @@ from borelcensus import (
     nodal_subspaces,
     orbit_length,
     phi_indices,
-    profile,
     weyl,
 )
 from borelcensus import flags
@@ -29,17 +30,17 @@ P = Partition
 
 class TestProfile:
     def test_examples(self):
-        assert profile(P((2, 2, 3))).psi == {2: 2, 3: 1}
-        assert profile(P((2, 2, 2))).psi == {2: 3}
-        assert profile(P((4,))).psi == {4: 1}
+        assert dict(weyl(P((2, 2, 3))).factors) == {2: 2, 3: 1}
+        assert dict(weyl(P((2, 2, 2))).factors) == {2: 3}
+        assert dict(weyl(P((4,))).factors) == {4: 1}
 
     def test_invariants(self):
         for parts in [(2, 2, 3), (1, 1, 1, 4), (5,)]:
             p = P(parts)
-            prof = profile(p)
-            assert sum(v * m for v, m in prof.counts) == p.n
-            assert sum(m for _, m in prof.counts) == p.length
-            assert p.n + 1 not in prof.psi
+            factors = weyl(p).factors
+            assert sum(v * m for v, m in factors) == p.n
+            assert sum(m for _, m in factors) == p.length
+            assert p.n + 1 not in dict(factors)
 
     def test_phi_indices(self):
         assert phi_indices(P((2, 2, 3)), 2) == frozenset({1, 2})
@@ -59,7 +60,7 @@ class TestEquivalence:
 
     def test_class_count_matches_p(self):
         for n in range(1, 13):
-            classes = {profile(q).counts for q in enumerate_partitions(n)}
+            classes = {weyl(q).factors for q in enumerate_partitions(n)}
             assert len(classes) == count_p(n)
 
 
@@ -162,7 +163,7 @@ class TestNodalSubspaces:
     def test_single_swap(self):
         specs = nodal_subspaces(P((2, 2)), SignRep((1,)))
         assert len(specs) == 1
-        assert (specs[0].block_a, specs[0].block_b, specs[0].codimension) == (1, 2, 2)
+        assert (specs[0].block_a, specs[0].block_b, specs[0].block_size) == (1, 2, 2)
 
     def test_zero_delta_gives_nothing(self):
         assert nodal_subspaces(P((2, 2, 3)), SignRep((0,))) == []
@@ -170,11 +171,11 @@ class TestNodalSubspaces:
     def test_all_transpositions(self):
         specs = nodal_subspaces(P((2, 2, 2)), SignRep((1,)))
         assert [(s.block_a, s.block_b) for s in specs] == [(1, 2), (1, 3), (2, 3)]
-        assert all(s.codimension == 2 for s in specs)
+        assert all(s.block_size == 2 for s in specs)
 
     def test_codimension_equals_block_size(self):
         specs = nodal_subspaces(P((2, 2, 5, 5)), SignRep((1, 1)))
-        assert {(s.block_a, s.block_b, s.codimension) for s in specs} == {
+        assert {(s.block_a, s.block_b, s.block_size) for s in specs} == {
             (1, 2, 2),
             (3, 4, 5),
         }
@@ -191,3 +192,25 @@ class TestNodalSubspaces:
         with pytest.raises(DomainError):
             SignRep((0, 2))
         assert SignRep((0, 0)).trivial and not SignRep((0, 1)).trivial
+
+    @pytest.mark.parametrize("delta", [1.7, 0.5, 1.0, "1", True, False, None])
+    def test_sign_rep_refuses_non_int_deltas(self, delta):
+        # int() used to coerce these to 0 or 1 before the check
+        with pytest.raises(DomainError, match=re.escape(repr(delta))):
+            SignRep((0, delta))
+
+
+class TestInvolutionSpec:
+    @pytest.mark.parametrize(
+        "fields",
+        [(1, 2, 2.5), (1, 2, True), ("1", 2, 2), (1, 2.0, 2), (0, 1, 2), (2, 2, 2), (1, 2, 0)],
+    )
+    def test_rejects_bad_fields(self, fields):
+        with pytest.raises(DomainError):
+            InvolutionSpec(*fields)
+
+    def test_check_fits_partition(self):
+        InvolutionSpec(2, 3, 3).check(P((2, 3, 3)))
+        for inv in (InvolutionSpec(1, 2, 2), InvolutionSpec(2, 3, 2), InvolutionSpec(2, 4, 3)):
+            with pytest.raises(DomainError):
+                inv.check(P((2, 3, 3)))

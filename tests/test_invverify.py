@@ -10,6 +10,7 @@ from borelcensus import (
     DomainError,
     IndeterminateError,
     InternalInvariantError,
+    InvolutionSpec,
     NumericalError,
     Partition,
     SignRep,
@@ -96,14 +97,16 @@ def _signed_orbit_by_permutations(alpha, groups):
 
 
 def first_equal_pair(p):
-    """The first two adjacent equal blocks of p, 1-based."""
+    """The swap of the first two adjacent equal blocks of p."""
     i = next(i for i in range(p.length - 1) if p.parts[i] == p.parts[i + 1])
-    return i + 1, i + 2
+    return InvolutionSpec(i + 1, i + 2, p.parts[i])
 
 
 def coordinate_space(p, swap, d):
-    """A verify_pair side built in coordinates: swap-antisymmetric, or every invariant."""
-    return invariant_space(p, d) if swap is None else swap_antisymmetric_space(p, *swap, d)
+    """A verify_pair side built in coordinates from a report's (block_a, block_b) or None."""
+    if swap is None:
+        return invariant_space(p, d)
+    return swap_antisymmetric_space(p, InvolutionSpec(*swap, p.parts[swap[0] - 1]), d)
 
 
 def block_swap_map(p, a, b):
@@ -185,7 +188,7 @@ class TestExpandedCoefficients:
     def test_swap_basis_is_difference_of_monomials(self):
         p = P((2, 2, 3))
         rng = np.random.default_rng(12)
-        space = swap_antisymmetric_space(p, 1, 2, 6)
+        space = swap_antisymmetric_space(p, InvolutionSpec(1, 2, 2), 6)
         assert space.dim > 0
         for poly in space.basis:
             alpha = block_alpha(p, next(e for e, c in poly.items() if c > 0))
@@ -292,13 +295,13 @@ class TestIntertwiningSpace:
 class TestSwapSpace:
     def test_dimension_single_swap(self):
         # alpha with a>b entry among weighted degree <= 3 over two variables
-        assert swap_antisymmetric_space(P((4, 4)), 1, 2, 6).dim == 4
+        assert swap_antisymmetric_space(P((4, 4)), InvolutionSpec(1, 2, 4), 6).dim == 4
         # four blocks, swap only the first two
-        assert swap_antisymmetric_space(P((2, 2, 2, 2)), 1, 2, 6).dim == 11
+        assert swap_antisymmetric_space(P((2, 2, 2, 2)), InvolutionSpec(1, 2, 2), 6).dim == 11
 
     def test_swap_antisymmetry_numeric(self):
         p = P((2, 2, 2, 2))
-        space = swap_antisymmetric_space(p, 1, 2, 4)
+        space = swap_antisymmetric_space(p, InvolutionSpec(1, 2, 2), 4)
         perm = block_swap_map(p, 1, 2)
         for poly in space.basis:
             x = RNG.standard_normal(p.n)
@@ -306,17 +309,17 @@ class TestSwapSpace:
 
     def test_rejects_unequal_blocks(self):
         with pytest.raises(DomainError):
-            swap_antisymmetric_space(P((2, 4)), 1, 2, 4)
+            swap_antisymmetric_space(P((2, 4)), InvolutionSpec(1, 2, 2), 4)
 
     def test_rejects_bad_indices(self):
         with pytest.raises(DomainError):
-            swap_antisymmetric_space(P((2, 2)), 2, 1, 4)
+            swap_antisymmetric_space(P((2, 2)), InvolutionSpec(2, 3, 2), 4)
 
 
 class TestIntersection:
     def test_spec_pair_is_zero(self):
         s1 = intertwining_space(P((4, 4)), SignRep((1,)), 6)
-        s2 = swap_antisymmetric_space(P((2, 2, 2, 2)), 1, 2, 6)
+        s2 = swap_antisymmetric_space(P((2, 2, 2, 2)), InvolutionSpec(1, 2, 2), 6)
         assert intersection_dim(s1, s2) == 0
 
     def test_self_intersection(self):
@@ -453,8 +456,8 @@ class TestFixedSwaps:
         dims, inter, _kept, _dropped = invverify._refined_intersection(p1, swap1, p2, swap2, 6)
         assert inter == meet
         assert None in primes_used
-        s1 = swap_antisymmetric_space(p1, *swap1, 6)
-        s2 = swap_antisymmetric_space(p2, *swap2, 6)
+        s1 = swap_antisymmetric_space(p1, swap1, 6)
+        s2 = swap_antisymmetric_space(p2, swap2, 6)
         assert dims == (s1.dim, s2.dim)
         assert intersection_dim(s1, s2) == meet
 

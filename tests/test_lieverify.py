@@ -322,6 +322,27 @@ class TestInvolutions:
         with pytest.raises(DomainError):
             involution_normalizes(P((2, 2)), InvolutionSpec(1, 2, 3))
 
+    @pytest.mark.parametrize("eps,verdict", [(1e-12, True), (5e-10, None), (1e-6, False)])
+    def test_normalizer_residual_band(self, monkeypatch, eps, verdict):
+        # perturb so(2) + 0 by eps out of the block algebra's span; the swap
+        # of the two blocks then leaves a residual of norm eps
+        real = lieverify.block_algebra
+
+        def perturbed(p):
+            b = real(p)
+            elements = b.elements.copy()
+            elements[0, 0, 2] += eps / np.sqrt(2.0)
+            elements[0, 2, 0] -= eps / np.sqrt(2.0)
+            return SkewBasis(n=b.n, elements=elements)
+
+        monkeypatch.setattr(lieverify, "block_algebra", perturbed)
+        inv = InvolutionSpec(1, 2, 2)
+        if verdict is None:
+            with pytest.raises(IndeterminateError, match="normalizer residual"):
+                involution_normalizes(P((2, 2)), inv)
+        else:
+            assert involution_normalizes(P((2, 2)), inv) is verdict
+
     def test_every_emitted_involution_normalizes(self):
         from borelcensus import weyl
 

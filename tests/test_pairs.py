@@ -8,7 +8,9 @@ import pytest
 from borelcensus import (
     Agreement,
     DomainError,
+    InvolutionSpec,
     Partition,
+    SignRep,
     Window,
     decompose,
     enumerate_partitions,
@@ -16,6 +18,8 @@ from borelcensus import (
     generated_group,
     has_common_subpartition,
     is_transitive_pair,
+    nodal_subspaces,
+    weyl,
 )
 
 P = Partition
@@ -208,7 +212,7 @@ class TestWindowPlan:
     def test_example_pair(self):
         plan = decompose(P((4, 4)), P((2, 2, 2, 2))).window_plan
         assert plan.side == 2
-        assert (plan.block_a, plan.block_b, plan.block_size) == (1, 2, 2)
+        assert plan.swap == InvolutionSpec(1, 2, 2)
         assert (plan.window.start, plan.window.size) == (0, 4)
 
     def test_absent_when_no_window_pair(self):
@@ -216,7 +220,7 @@ class TestWindowPlan:
 
     def test_side_one_preferred(self):
         plan = decompose(P((6, 6)), P((2, 2, 4, 4))).window_plan
-        assert plan.side == 1 and (plan.block_a, plan.block_b) == (1, 2)
+        assert plan.side == 1 and plan.swap == InvolutionSpec(1, 2, 6)
 
     def test_equal_partitions_have_no_plan(self):
         # equal partitions decompose into agreements only, so no window carries a swap
@@ -232,5 +236,24 @@ class TestWindowPlan:
                     p = members[i] if plan.side == 1 else members[j]
                     sums = (0,) + p.prefix_sums()
                     lo, hi = plan.window.start, plan.window.start + plan.window.size
-                    assert lo <= sums[plan.block_a - 1] and sums[plan.block_b] <= hi
-                    assert p.parts[plan.block_a - 1] == p.parts[plan.block_b - 1]
+                    swap = plan.swap
+                    assert lo <= sums[swap.block_a - 1] and sums[swap.block_b] <= hi
+                    swap.check(p)
+
+    def test_one_scan_one_swap_type(self):
+        # window plans, Weyl involutions and nodal swaps are all InvolutionSpecs
+        # from the same scan, so every one of them fits its partition
+        for n in range(4, 13):
+            parts = enumerate_partitions(n, 2)
+            for p1 in parts:
+                for p2 in parts:
+                    plan = decompose(p1, p2).window_plan
+                    if plan is not None:
+                        carrier = p1 if plan.side == 1 else p2
+                        assert plan.swap in weyl(carrier).involutions, (p1, p2)
+                w = weyl(p1)
+                if w.nontrivial:
+                    rho = SignRep((1,) * sum(m >= 2 for _, m in w.factors))
+                    for swap in nodal_subspaces(p1, rho):
+                        assert isinstance(swap, InvolutionSpec)
+                        swap.check(p1)

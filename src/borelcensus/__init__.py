@@ -54,7 +54,6 @@ from .pairs import (
 )
 from .lieverify import (
     LieClosure,
-    SkewBasis,
     block_algebra,
     closure,
     involution_normalizes,
@@ -117,7 +116,6 @@ __all__ = [
     "decompose",
     "generated_group",
     "is_transitive_pair",
-    "SkewBasis",
     "LieClosure",
     "block_algebra",
     "closure",

@@ -7,7 +7,8 @@ summary.  Exit codes: 0 success, 1 domain error, an input over its budget
 or an unwritable --output file, 2 usage error, 3 indeterminate numerical
 result, 4 a failed internal consistency check.
 
-Input budgets: `count N` takes N <= MAX_COUNT_N; `census N` enumerates
+Input budgets: `count N` takes N <= MAX_COUNT_N, and `solutions N` the
+same bound on the base M it counts P(M) for; `census N` enumerates
 P(N) partitions, `special N` P(M) base partitions, and `list N` P(N),
 P(N;1), Q(N) or Q(N;1) by --distinct and by whether --min-part is at
 least 2 (an upper bound for --min-part above 2).  Each refuses an input
@@ -314,6 +315,11 @@ def _cmd_special(tokens):
 
 def _cmd_solutions(tokens):
     n = _one_int(tokens)
+    m = applicable_case(n)[1]
+    if m > MAX_COUNT_N:
+        raise DomainError(
+            f"solutions {n} would count P(M) for M = {m}, over the budget of M <= {MAX_COUNT_N}"
+        )
     s = solutions_count(n)
     return {"n": n}, {"n": n, "count": str(s)}, [], [str(s)]
 
@@ -386,7 +392,6 @@ def _cmd_verify_lie(tokens):
         raise DomainError(f"verify-lie takes N <= {MAX_LIE_N}, got N = {p1.n}")
     c = closure(block_algebra(p1), block_algebra(p2))
     full = transitive_on(c, (0, p1.n))
-    # the group the closure measures; O(n) for {n} vs {n}, unlike is_transitive_pair
     predicted = dec.transitive_on_sphere
     windows = [
         {
@@ -410,7 +415,7 @@ def _cmd_verify_lie(tokens):
         "windows": windows,
     }
     if with_matrices:
-        result["basis"] = [x.tolist() for x in c.basis.elements]
+        result["basis"] = c.basis.tolist()
     plain = [
         f"closure dimension {c.dimension} (predicted {dec.lie_dimension}, "
         f"match={result['dimensions_match']})",

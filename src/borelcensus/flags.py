@@ -69,6 +69,13 @@ class InvolutionSpec:
             )
 
 
+def _check_swap(p: Partition, inv):
+    """Refuse anything but an InvolutionSpec whose blocks fit p."""
+    if not isinstance(inv, InvolutionSpec):
+        raise DomainError(f"a block swap must be an InvolutionSpec, got {inv!r}")
+    inv.check(p)
+
+
 def _adjacent_swaps(parts, first=1):
     """One InvolutionSpec per adjacent equal pair of parts; parts[0] is block first.
 

@@ -35,7 +35,7 @@ from math import comb, factorial, prod
 import numpy as np
 
 from .errors import DomainError, InternalInvariantError, NumericalError
-from .flags import InvolutionSpec, SignRep, _signed_factors, weyl
+from .flags import InvolutionSpec, SignRep, _check_swap, _signed_factors, weyl
 from .lieverify import _rank
 from .pairs import decompose
 from .partitions import Partition
@@ -64,7 +64,10 @@ class PolySubspace:
     n: int
     degree_cap: int
     basis: tuple
-    dim: int
+
+    @property
+    def dim(self):
+        return len(self.basis)
 
 
 @dataclass(frozen=True)
@@ -155,7 +158,7 @@ def invariant_space(p: Partition, d: int) -> PolySubspace:
     _check_parts(p)
     _check_degree(d)
     basis = tuple(_norm_monomial(a, p.parts) for a in _alphas(p.length, d // 2))
-    return PolySubspace(n=p.n, degree_cap=d, basis=basis, dim=len(basis))
+    return PolySubspace(n=p.n, degree_cap=d, basis=basis)
 
 
 def _value_groups(p, rho):
@@ -261,7 +264,7 @@ def intertwining_space(p: Partition, rho: SignRep, d: int) -> PolySubspace:
             for e, val in _norm_monomial(beta, p.parts).items():
                 poly[e] = poly.get(e, 0) + coeff * val
         basis.append(poly)
-    return PolySubspace(n=p.n, degree_cap=d, basis=tuple(basis), dim=len(basis))
+    return PolySubspace(n=p.n, degree_cap=d, basis=tuple(basis))
 
 
 def swap_antisymmetric_space(p: Partition, inv: InvolutionSpec, d: int) -> PolySubspace:
@@ -274,9 +277,9 @@ def swap_antisymmetric_space(p: Partition, inv: InvolutionSpec, d: int) -> PolyS
     """
     _check_parts(p)
     _check_degree(d)
-    inv.check(p)
+    _check_swap(p, inv)
     basis = _swap_basis(p.length, inv, d, lambda alpha: _norm_monomial(alpha, p.parts))
-    return PolySubspace(n=p.n, degree_cap=d, basis=tuple(basis), dim=len(basis))
+    return PolySubspace(n=p.n, degree_cap=d, basis=tuple(basis))
 
 
 # Kept apart from _signed_orbit: a swap routed through it made verify_pair about 1.5x slower.

@@ -15,13 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, IndeterminateError, NumericalError, ProbeDisagreementError
-from .flags import InvolutionSpec
+from .flags import InvolutionSpec, _check_swap
 from .partitions import Partition
 
 __all__ = [
     "DEFAULT_TOL",
     "DEFAULT_RANK_TOL",
-    "SkewBasis",
     "LieClosure",
     "block_algebra",
     "closure",
@@ -37,22 +36,6 @@ _BATCH_FLOATS = 1 << 16  # brackets formed per matmul, in floats; bounds peak me
 
 
 @dataclass(frozen=True)
-class SkewBasis:
-    """Skew-symmetric matrices, orthonormal under the Frobenius product.
-
-    closure enforces both: it refuses a basis whose Gram matrix is off the
-    identity by more than DEFAULT_TOL/10.
-    """
-
-    n: int
-    elements: np.ndarray  # shape (k, n, n)
-
-    @property
-    def count(self):
-        return self.elements.shape[0]
-
-
-@dataclass(frozen=True)
 class LieClosure:
     """A closed algebra and the margins of the residuals that decided it.
 
@@ -61,15 +44,15 @@ class LieClosure:
     the largest residual dropped as lying in the span, 0.0 if none was.
     """
 
-    basis: SkewBasis
+    basis: np.ndarray  # shape (dimension, n, n), skew and orthonormal
     dimension: int
     iterations: int
     residual_kept_min: float
     residual_dropped_max: float
 
 
-def block_algebra(p: Partition) -> SkewBasis:
-    """Basis of the block algebra: (E_ab - E_ba)/sqrt(2) inside each block."""
+def block_algebra(p: Partition) -> np.ndarray:
+    """Basis of the block algebra, (E_ab - E_ba)/sqrt(2) inside each block, shape (k, n, n)."""
     if p.min_part < 2:
         raise DomainError("block algebras need every part >= 2")
     n = p.n
@@ -81,12 +64,12 @@ def block_algebra(p: Partition) -> SkewBasis:
                 x[a, b] = 1.0 / np.sqrt(2.0)
                 x[b, a] = -1.0 / np.sqrt(2.0)
                 mats.append(x)
-    return SkewBasis(n=n, elements=np.array(mats))
+    return np.array(mats)
 
 
 def _check_skew(elements):
     worst = np.max(np.abs(elements + np.transpose(elements, (0, 2, 1))))
-    if worst > DEFAULT_TOL:
+    if not worst <= DEFAULT_TOL:  # a NaN entry fails too
         raise DomainError(f"input matrices are not skew-symmetric (residual {worst:.2e})")
 
 
@@ -97,7 +80,7 @@ def _check_orthonormal(flat):
     passes, so this keeps the seed's error below the ambiguity band.
     """
     worst = np.max(np.abs(flat @ flat.T - np.eye(len(flat))))
-    if worst > DEFAULT_TOL / 10.0:
+    if not worst <= DEFAULT_TOL / 10.0:
         raise DomainError(f"input matrices are not orthonormal (Gram deviation {worst:.2e})")
 
 
@@ -173,10 +156,11 @@ def _accept(basis, m, batch):
     return m, kept, dropped
 
 
-def closure(b1: SkewBasis, b2: SkewBasis) -> LieClosure:
-    """Close the union of two skew bases under commutators.
+def closure(b1: np.ndarray, b2: np.ndarray) -> LieClosure:
+    """Close the union of two skew bases, each a (k, n, n) array, under commutators.
 
-    Both inputs must be skew and orthonormal; either failing is a
+    Both inputs must be real (k, n, n) arrays of one n, nonempty, skew and
+    orthonormal under the Frobenius product; anything else is a
     DomainError.  The larger input seeds the basis as given and the other
     joins it through pivoted Gram-Schmidt; together they are G.  Each
     round brackets only the previous round's new elements against G,
@@ -186,22 +170,29 @@ def closure(b1: SkewBasis, b2: SkewBasis) -> LieClosure:
     A residual inside [DEFAULT_TOL/10, DEFAULT_TOL] raises
     IndeterminateError.
     """
-    if b1.n != b2.n:
-        raise DomainError(f"bases live in different dimensions: {b1.n} vs {b2.n}")
-    n = b1.n
     for which, b in (("first", b1), ("second", b2)):
-        if not len(b.elements):
+        square = isinstance(b, np.ndarray) and b.ndim == 3 and b.shape[1] == b.shape[2]
+        if not square or b.dtype.kind not in "iuf":
+            raise DomainError(
+                f"the {which} basis must be a real (k, n, n) array, got {type(b).__name__} "
+                f"of shape {getattr(b, 'shape', None)}"
+            )
+    n = b1.shape[1]
+    if b2.shape[1] != n:
+        raise DomainError(f"bases live in different dimensions: {n} vs {b2.shape[1]}")
+    for which, b in (("first", b1), ("second", b2)):
+        if not len(b):
             raise DomainError(f"the {which} basis is empty; closure needs at least one element")
-        _check_skew(b.elements)
-        _check_orthonormal(b.elements.reshape(-1, n * n))
-    big, small = (b2, b1) if b2.count > b1.count else (b1, b2)
+        _check_skew(b)
+        _check_orthonormal(b.reshape(-1, n * n))
+    big, small = (b2, b1) if len(b2) > len(b1) else (b1, b2)
     full = n * (n - 1) // 2
     basis = np.zeros((full, n * n))
-    m = big.count  # at most full, since big is orthonormal
-    basis[:m] = big.elements.reshape(m, n * n)
+    m = len(big)  # at most full, since big is orthonormal
+    basis[:m] = big.reshape(m, n * n)
     # a seed element joins with its norm as its residual
     kept = float(np.sqrt(np.einsum("ij,ij->i", basis[:m], basis[:m]).min()))
-    m, k, dropped = _accept(basis, m, small.elements.reshape(-1, n * n))
+    m, k, dropped = _accept(basis, m, small.reshape(-1, n * n))
     kept = min(kept, k)
     g = basis[:m].reshape(m, n, n)
     lo, rounds = 0, 0
@@ -221,9 +212,8 @@ def closure(b1: SkewBasis, b2: SkewBasis) -> LieClosure:
             if m == full:
                 break
         lo = hi
-    basis = SkewBasis(n=n, elements=basis[:m].reshape(m, n, n).copy())
     return LieClosure(
-        basis=basis,
+        basis=basis[:m].reshape(m, n, n).copy(),
         dimension=m,
         iterations=rounds,
         residual_kept_min=kept,
@@ -240,10 +230,10 @@ def transitive_on(c: LieClosure, window) -> bool:
     vector; the two verdicts must agree.
     """
     lo, hi = window
-    n = c.basis.n
+    elements = c.basis
+    n = elements.shape[1]
     if not (0 <= lo < hi <= n):
         raise DomainError(f"window {window} does not fit in dimension {n}")
-    elements = c.basis.elements
     outside = np.r_[0:lo, hi:n].astype(int)
     if outside.size:
         spill = max(
@@ -272,7 +262,7 @@ def transitive_on(c: LieClosure, window) -> bool:
 
 def swap_matrix(p: Partition, inv: InvolutionSpec) -> np.ndarray:
     """Permutation matrix exchanging the two blocks coordinate-by-coordinate."""
-    inv.check(p)
+    _check_swap(p, inv)
     starts = (0, *p.prefix_sums())
     oa, ob = starts[inv.block_a - 1], starts[inv.block_b - 1]
     t = np.eye(p.n)
@@ -291,8 +281,8 @@ def involution_normalizes(p: Partition, inv: InvolutionSpec) -> bool:
     if np.max(np.abs(t @ t - np.eye(p.n))) > 0:
         raise NumericalError("swap matrix is not an involution")  # pragma: no cover
     basis = block_algebra(p)
-    flat = basis.elements.reshape(basis.count, -1)
-    y = (t @ basis.elements @ t).reshape(basis.count, -1)
+    flat = basis.reshape(len(basis), -1)
+    y = (t @ basis @ t).reshape(len(basis), -1)
     resid = y - (y @ flat.T) @ flat
     norms = np.sqrt(np.einsum("ij,ij->i", resid, resid))
     _check_band(norms, DEFAULT_TOL, "normalizer residual")

@@ -5,8 +5,9 @@ sums.  Where both next parts agree the group keeps that block factor
 (agreement segment); elsewhere a minimal window opens and closes at the
 first coinciding partial sum, and on the window the generated group is the
 full orthogonal group of the window subspace.  The pair is jointly
-transitive on the sphere exactly when the whole of [0, n) is one window,
-i.e. when the partitions share no proper common prefix sum.
+transitive on the sphere exactly when the whole of [0, n) is one segment
+(a window, or the agreement of {n} with itself), i.e. when the partitions
+share no proper common prefix sum.
 """
 
 from __future__ import annotations
@@ -65,6 +66,8 @@ class Window:
 
     def swap(self, side: int):
         """First swap of adjacent equal blocks on side 1 or 2 inside the window, or None."""
+        if not isinstance(side, int) or isinstance(side, bool) or side not in (1, 2):
+            raise DomainError(f"a window side is 1 or 2, got {side!r}")
         parts, first = (self.h_parts, self.h_first) if side == 1 else (self.k_parts, self.k_first)
         return next(_adjacent_swaps(parts, first), None)
 
@@ -192,14 +195,12 @@ def generated_group(p1: Partition, p2: Partition) -> PairDecomposition:
 
 
 def is_transitive_pair(p1: Partition, p2: Partition) -> bool:
-    """Whether the two block groups jointly act transitively on the sphere.
+    """Whether the generated group is transitive on the sphere: one segment spans [0, n).
 
-    Two equivalent computations (different partitions with no common
-    proper prefix sum; a single window factor of full size) are evaluated
-    and must agree.
+    The decomposition decides; the absence of a common proper prefix sum
+    is an independent cross-check and must agree.
     """
-    structural = decompose(p1, p2).factors == ((p1.n, "window"),)
-    direct = p1 != p2 and has_common_subpartition(p1, p2) is None
-    if direct != structural:  # pragma: no cover - the two criteria coincide
+    transitive = decompose(p1, p2).transitive_on_sphere
+    if transitive != (has_common_subpartition(p1, p2) is None):  # pragma: no cover
         raise InternalInvariantError(f"transitivity criteria disagree on {p1}, {p2}")
-    return direct
+    return transitive

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import borelcensus.cli as cli
-from borelcensus import Partition, flags, pairs, verify_pair
+from borelcensus import Partition, count_p, flags, pairs, verify_pair
 from borelcensus.errors import IndeterminateError
 
 
@@ -167,6 +167,13 @@ class TestCommands:
         assert result["closure_dimension"] == 6
         assert result["iterations"] == 0
 
+    @pytest.mark.parametrize("left,right", [("4", "4"), ("2 2", "2 2"), ("3 3", "2 4")])
+    def test_pair_transitivity_matches_verify_lie(self, left, right):
+        argv = [*left.split(), "--", *right.split()]
+        pair = run_json(["pair", *argv])["result"]
+        lie = run_json(["verify-lie", *argv])["result"]
+        assert pair["transitive"] is lie["transitive_predicted"] is lie["transitive_numeric"]
+
     @pytest.mark.parametrize("n", range(2, 7))
     def test_verify_lie_single_block_self_pair(self, n):
         # the closure of so(n) with itself is so(n): O(n) is transitive
@@ -303,6 +310,20 @@ class TestExitCodes:
         proc = run_module(*argv, timeout=10)
         assert proc.returncode == 1 and not proc.stdout
         assert "P(61) = 1121505 is the first count over it" in proc.stderr
+
+    def test_solutions_budget_refuses_huge_n_at_once(self):
+        # solutions counts P(M) for M about N/4; M = 1000000 is over MAX_COUNT_N
+        proc = run_module("solutions", "4000000", timeout=10)
+        assert proc.returncode == 1 and not proc.stdout
+        assert "M = 1000000" in proc.stderr and str(cli.MAX_COUNT_N) in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_solutions_budget_admits_its_bound(self, monkeypatch):
+        # 400003 = 4M + 3 with M = MAX_COUNT_N; a smaller bound keeps the count fast
+        monkeypatch.setattr(cli, "MAX_COUNT_N", 1000)
+        assert run_json(["solutions", "4003"])["result"]["count"] == str(count_p(1000))
+        code, out, err = run(["solutions", "4007"])
+        assert code == 1 and not out and "M = 1001" in err
 
     def test_verify_inv_budget_states_both_dims(self):
         left, right = ["2"] * 24, ["4"] * 12

@@ -1,5 +1,6 @@
 """Polynomial fixed-space surrogate: dimensions, intersections, independence."""
 
+import dataclasses
 from itertools import combinations, permutations, product
 from math import comb
 
@@ -315,6 +316,10 @@ class TestSwapSpace:
         with pytest.raises(DomainError):
             swap_antisymmetric_space(P((2, 2)), InvolutionSpec(2, 3, 2), 4)
 
+    def test_rejects_a_tuple_swap(self):
+        with pytest.raises(DomainError, match="must be an InvolutionSpec"):
+            swap_antisymmetric_space(P((2, 2)), (1, 2), 4)
+
 
 class TestIntersection:
     def test_spec_pair_is_zero(self):
@@ -344,14 +349,26 @@ class TestIntersection:
     def test_ambiguity_band_raises(self):
         e1 = (2, 0, 0, 0)
         e2 = (0, 2, 0, 0)
-        s1 = PolySubspace(n=4, degree_cap=2, basis=({e1: 1.0},), dim=1)
-        s2 = PolySubspace(n=4, degree_cap=2, basis=({e1: 1.0, e2: 3e-9},), dim=1)
+        s1 = PolySubspace(n=4, degree_cap=2, basis=({e1: 1.0},))
+        s2 = PolySubspace(n=4, degree_cap=2, basis=({e1: 1.0, e2: 3e-9},))
         with pytest.raises(IndeterminateError):
             intersection_dim(s1, s2)
 
+    def test_dim_is_the_basis_length(self):
+        # the dimension is read off the basis; no constructor field can contradict it
+        assert "dim" not in {f.name for f in dataclasses.fields(PolySubspace)}
+        s = PolySubspace(n=2, degree_cap=2, basis=({(2, 0): 1.0},))
+        assert s.dim == len(s.basis) == 1
+        for space in (
+            invariant_space(P((2, 4)), 4),
+            intertwining_space(P((2, 2)), SignRep((1,)), 6),
+            swap_antisymmetric_space(P((4, 4)), InvolutionSpec(1, 2, 4), 6),
+        ):
+            assert space.dim == len(space.basis)
+
     def test_rank_deficient_basis_raises(self):
         e1 = (2, 0)
-        s = PolySubspace(n=2, degree_cap=2, basis=({e1: 1.0}, {e1: 2.0}), dim=2)
+        s = PolySubspace(n=2, degree_cap=2, basis=({e1: 1.0}, {e1: 2.0}))
         with pytest.raises(NumericalError):
             intersection_dim(s, s)
 

@@ -21,16 +21,16 @@ from borelcensus import (
     transitive_on,
 )
 from borelcensus import lieverify
-from borelcensus.lieverify import DEFAULT_TOL, SkewBasis, _accept, swap_matrix
+from borelcensus.lieverify import DEFAULT_TOL, _accept, swap_matrix
 
 P = Partition
 
 
 class TestBlockAlgebra:
     def test_counts(self):
-        assert block_algebra(P((2, 2))).count == 2
-        assert block_algebra(P((4,))).count == 6
-        assert block_algebra(P((2, 6))).count == 16
+        assert len(block_algebra(P((2, 2)))) == 2
+        assert len(block_algebra(P((4,)))) == 6
+        assert len(block_algebra(P((2, 6)))) == 16
 
     def test_rejects_small_parts(self):
         with pytest.raises(DomainError):
@@ -38,16 +38,16 @@ class TestBlockAlgebra:
 
     def test_orthonormal_and_skew(self):
         b = block_algebra(P((2, 3, 3)))
-        flat = b.elements.reshape(b.count, -1)
+        flat = b.reshape(len(b), -1)
         gram = flat @ flat.T
-        assert np.allclose(gram, np.eye(b.count), atol=1e-12)
-        assert np.max(np.abs(b.elements + np.transpose(b.elements, (0, 2, 1)))) == 0
+        assert np.allclose(gram, np.eye(len(b)), atol=1e-12)
+        assert np.max(np.abs(b + np.transpose(b, (0, 2, 1)))) == 0
 
     def test_block_support(self):
         b = block_algebra(P((2, 4)))
         # no generator mixes the two blocks
-        assert np.max(np.abs(b.elements[:, :2, 2:])) == 0
-        assert np.max(np.abs(b.elements[:, 2:, :2])) == 0
+        assert np.max(np.abs(b[:, :2, 2:])) == 0
+        assert np.max(np.abs(b[:, 2:, :2])) == 0
 
     def test_block_placement(self):
         # blocks start at the prefix sums 0, 2, 5 of {2,3,3}
@@ -55,7 +55,7 @@ class TestBlockAlgebra:
         support = np.zeros((8, 8), dtype=bool)
         for lo, hi in ((0, 2), (2, 5), (5, 8)):
             support[lo:hi, lo:hi] = True
-        assert np.max(np.abs(block_algebra(p).elements[:, ~support])) == 0
+        assert np.max(np.abs(block_algebra(p)[:, ~support])) == 0
         t = swap_matrix(p, InvolutionSpec(2, 3, 3))
         assert np.array_equal(t[:, [0, 1, 5, 6, 7, 2, 3, 4]], np.eye(8))
 
@@ -67,7 +67,7 @@ class TestClosure:
 
     def test_already_closed(self):
         b = block_algebra(P((2, 2)))
-        assert closure(b, b).dimension == b.count
+        assert closure(b, b).dimension == len(b)
 
     def test_two_partitions_of_eight(self):
         c = closure(block_algebra(P((2, 2, 4))), block_algebra(P((2, 6))))
@@ -80,27 +80,25 @@ class TestClosure:
 
     def test_closure_basis_stays_skew(self):
         c = closure(block_algebra(P((2, 2, 4))), block_algebra(P((2, 6))))
-        resid = np.max(np.abs(c.basis.elements + np.transpose(c.basis.elements, (0, 2, 1))))
+        resid = np.max(np.abs(c.basis + np.transpose(c.basis, (0, 2, 1))))
         assert resid <= 1e-12
 
     def test_closed_under_bracket(self):
         c = closure(block_algebra(P((2, 3))), block_algebra(P((5,))))
-        flat = c.basis.elements.reshape(c.dimension, -1)
-        for x in c.basis.elements:
-            for y in c.basis.elements:
+        flat = c.basis.reshape(c.dimension, -1)
+        for x in c.basis:
+            for y in c.basis:
                 z = (x @ y - y @ x).ravel()
                 resid = z - flat.T @ (flat @ z)
                 assert np.linalg.norm(resid) <= 1e-9
 
     def test_rejects_non_skew(self):
-        from borelcensus.lieverify import SkewBasis
-
-        bad = SkewBasis(n=3, elements=np.eye(3)[None, :, :])
+        bad = np.eye(3)[None, :, :]
         with pytest.raises(DomainError):
             closure(bad, bad)
 
     def test_rejects_empty_basis(self):
-        empty = SkewBasis(n=3, elements=np.zeros((0, 3, 3)))
+        empty = np.zeros((0, 3, 3))
         b = block_algebra(P((3,)))
         with pytest.raises(DomainError, match="first basis is empty"):
             closure(empty, b)
@@ -109,11 +107,34 @@ class TestClosure:
 
     def test_rejects_non_orthonormal(self):
         b = block_algebra(P((3,)))
-        x = b.elements[0]
+        x = b[0]
         with pytest.raises(DomainError, match="not orthonormal"):
-            closure(SkewBasis(n=3, elements=np.stack([x, x])), b)
+            closure(np.stack([x, x]), b)
         with pytest.raises(DomainError, match="not orthonormal"):
-            closure(b, SkewBasis(n=3, elements=2.0 * x[None]))
+            closure(b, 2.0 * x[None])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.zeros((3, 3)),  # 2-D
+            np.zeros((2, 3, 4)),  # not square
+            [[[0.0, 1.0], [-1.0, 0.0]]],  # a list, not an array
+            np.zeros((1, 2, 2), dtype=complex),
+        ],
+        ids=["2d", "non-square", "list", "complex"],
+    )
+    def test_rejects_non_array_input(self, bad):
+        b = block_algebra(P((2,)))
+        with pytest.raises(DomainError, match="must be a real \\(k, n, n\\) array"):
+            closure(bad, b)
+        with pytest.raises(DomainError, match="must be a real \\(k, n, n\\) array"):
+            closure(b, bad)
+
+    def test_rejects_nan(self):
+        b = block_algebra(P((2, 2))).copy()
+        b[0, 0, 1] = b[0, 1, 0] = np.nan
+        with pytest.raises(DomainError, match="not skew-symmetric"):
+            closure(b, block_algebra(P((4,))))
 
     def test_first_round_brackets_each_unordered_pair_once(self, monkeypatch):
         # at n = 20 every slice of G is one generator, and the first round
@@ -130,7 +151,7 @@ class TestClosure:
         assert c.dimension == decompose(p1, p2).lie_dimension == 154 < 190
         # G: the two block algebras (73 and 109 elements) less the algebra of
         # their common refinement, which both contain
-        size_g = 73 + 109 - block_algebra(P((2, 3, 6, 9))).count
+        size_g = 73 + 109 - len(block_algebra(P((2, 3, 6, 9))))
         assert calls[1][0] == size_g == 127
         assert lieverify._BATCH_FLOATS // (size_g * 20 * 20) == 1
         # after the seed's call, generator j meets the frontier rows i >= j:
@@ -155,15 +176,17 @@ class TestClosure:
         x[0, 1], x[1, 0] = 1.0, -1.0
         y = x.copy()
         y[2, 3], y[3, 2] = eps, -eps
-        b1 = SkewBasis(n=4, elements=(x / np.linalg.norm(x))[None])
-        b2 = SkewBasis(n=4, elements=(y / np.linalg.norm(y))[None])
+        b1 = (x / np.linalg.norm(x))[None]
+        b2 = (y / np.linalg.norm(y))[None]
         c = closure(b1, b2)
         margin = c.residual_kept_min if eps > DEFAULT_TOL else c.residual_dropped_max
         assert margin == pytest.approx(eps, rel=1e-3)
 
     def test_rejects_dimension_mismatch(self):
-        with pytest.raises(DomainError):
-            closure(block_algebra(P((2, 2))), block_algebra(P((2, 3))))
+        b4, b5 = block_algebra(P((2, 2))), block_algebra(P((2, 3)))
+        for b1, b2 in ((b4, b5), (b5, b4)):
+            with pytest.raises(DomainError, match="different dimensions: 4 vs 5|5 vs 4"):
+                closure(b1, b2)
 
     def test_dimension_matches_prediction_small_sweep(self):
         for n in (6, 7, 8):
@@ -185,8 +208,8 @@ class TestClosure:
             x[0, 1], x[1, 0] = 1.0, -1.0
             y = x.copy()
             y[2, 3], y[3, 2] = eps, -eps
-            b1 = SkewBasis(n=4, elements=(x / np.linalg.norm(x))[None])
-            b2 = SkewBasis(n=4, elements=(y / np.linalg.norm(y))[None])
+            b1 = (x / np.linalg.norm(x))[None]
+            b2 = (y / np.linalg.norm(y))[None]
             return b1, b2
 
         with pytest.raises(IndeterminateError):
@@ -220,7 +243,7 @@ class TestClosure:
         q, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))
 
         def rotated(p):
-            return SkewBasis(n=n, elements=q @ block_algebra(p).elements @ q.T)
+            return q @ block_algebra(p) @ q.T
 
         for p1, p2 in combinations_with_replacement(enumerate_partitions(n, 2), 2):
             b1, b2 = rotated(p1), rotated(p2)
@@ -271,7 +294,7 @@ class TestTransitivity:
 
     def test_ambiguity_band_raises(self):
         from borelcensus.errors import IndeterminateError
-        from borelcensus.lieverify import LieClosure, SkewBasis
+        from borelcensus.lieverify import LieClosure
 
         # two tangent directions at e0 separated by an angle ~3e-9 put the
         # second singular value inside [rank_tol/10, rank_tol]
@@ -284,7 +307,7 @@ class TestTransitivity:
         x1 /= np.sqrt(2.0)
         x2 /= np.linalg.norm(x2)
         c = LieClosure(
-            basis=SkewBasis(n=4, elements=np.stack([x1, x2])),
+            basis=np.stack([x1, x2]),
             dimension=2,
             iterations=0,
             residual_kept_min=1.0,
@@ -322,6 +345,11 @@ class TestInvolutions:
         with pytest.raises(DomainError):
             involution_normalizes(P((2, 2)), InvolutionSpec(1, 2, 3))
 
+    def test_tuple_swap_rejected(self):
+        for check in (swap_matrix, involution_normalizes):
+            with pytest.raises(DomainError, match="must be an InvolutionSpec"):
+                check(P((2, 2)), (1, 2, 2))
+
     @pytest.mark.parametrize("eps,verdict", [(1e-12, True), (5e-10, None), (1e-6, False)])
     def test_normalizer_residual_band(self, monkeypatch, eps, verdict):
         # perturb so(2) + 0 by eps out of the block algebra's span; the swap
@@ -329,11 +357,10 @@ class TestInvolutions:
         real = lieverify.block_algebra
 
         def perturbed(p):
-            b = real(p)
-            elements = b.elements.copy()
-            elements[0, 0, 2] += eps / np.sqrt(2.0)
-            elements[0, 2, 0] -= eps / np.sqrt(2.0)
-            return SkewBasis(n=b.n, elements=elements)
+            b = real(p).copy()
+            b[0, 0, 2] += eps / np.sqrt(2.0)
+            b[0, 2, 0] -= eps / np.sqrt(2.0)
+            return b
 
         monkeypatch.setattr(lieverify, "block_algebra", perturbed)
         inv = InvolutionSpec(1, 2, 2)

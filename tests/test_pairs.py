@@ -125,6 +125,8 @@ class TestTransitivity:
         assert is_transitive_pair(P((3, 3)), P((2, 4)))
         assert not is_transitive_pair(P((4, 4)), P((2, 2, 2, 2)))
         assert not is_transitive_pair(P((2, 2)), P((2, 2)))
+        # O(n) with itself is O(n), which is transitive on the sphere
+        assert is_transitive_pair(P((4,)), P((4,)))
 
     def test_parts_of_one_rejected(self):
         with pytest.raises(DomainError, match="every part must be >= 2 on both sides"):
@@ -200,7 +202,7 @@ class TestSeededDecompose:
             assert dec.transitive_on_sphere == (common == [0, n]), (p1, p2)
             proper = [c for c in common if 0 < c < n]
             assert has_common_subpartition(p1, p2) == (min(proper) if proper else None)
-            transitive = p1 != p2 and not proper
+            transitive = not proper
             assert is_transitive_pair(p1, p2) == transitive, (p1, p2)
             seen["self"] += p1 == p2
             seen["transitive"] += transitive
@@ -209,6 +211,12 @@ class TestSeededDecompose:
 
 
 class TestWindowPlan:
+    @pytest.mark.parametrize("side", [0, 3, True, "1"])
+    def test_swap_refuses_other_sides(self, side):
+        window = decompose(P((4, 4)), P((2, 2, 2, 2))).windows[0]
+        with pytest.raises(DomainError, match="window side is 1 or 2"):
+            window.swap(side)
+
     def test_example_pair(self):
         plan = decompose(P((4, 4)), P((2, 2, 2, 2))).window_plan
         assert plan.side == 2

@@ -15,7 +15,10 @@ least 2 (an upper bound for --min-part above 2).  Each refuses an input
 whose count exceeds MAX_ENUMERATED.  `verify-inv` refuses a pair whose
 two fixed spaces have more than MAX_SPACE_DIMS dimensions together, and
 `verify-lie` a pair of partitions of N > MAX_LIE_N, before it builds any
-matrix.
+matrix.  Every PARTS argument takes at most MAX_PARTS parts: the Weyl
+group order of 1559 equal parts, like the orbit length of 1559 distinct
+ones, has more digits than Python prints, and `nodal`'s output grows
+with the square of the part count.
 """
 
 from __future__ import annotations
@@ -89,6 +92,10 @@ MAX_SPACE_DIMS = 2400
 # about N^8/2 flops.  The closure preallocates N(N-1)/2 x N^2 floats, 0.4 GB
 # at N = 100.
 MAX_LIE_N = 32
+# parts in one PARTS argument.  1000! has 2568 digits, under Python's
+# 4300-digit limit on int to str (1559! is over it); 1000 equal parts under
+# `nodal --delta 1` took about 3 s and printed 25 MB on a 2-core x86 host.
+MAX_PARTS = 1000
 
 
 class UsageError(Exception):
@@ -167,6 +174,10 @@ def _partition(tokens):
     _reject_leftover_flags(tokens)
     if not tokens:
         raise UsageError("expected partition parts")
+    if len(tokens) > MAX_PARTS:
+        raise DomainError(
+            f"a partition of {len(tokens)} parts is over the budget of {MAX_PARTS} parts"
+        )
     return Partition(tuple(_int(t, "part") for t in tokens))
 
 

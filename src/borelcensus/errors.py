@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DomainError",
+    "UnsupportedDimensionError",
+    "NumericalError",
+    "IndeterminateError",
+    "ProbeDisagreementError",
+    "InternalInvariantError",
+]
+
 
 class DomainError(ValueError):
     """Input lies outside an operation's documented domain."""

@@ -109,7 +109,11 @@ class SignRep:
     deltas: tuple
 
     def __post_init__(self):
-        deltas = tuple(self.deltas)
+        try:
+            deltas = tuple(self.deltas)
+        except TypeError:
+            msg = f"deltas must be an iterable of integers, got {self.deltas!r}"
+            raise DomainError(msg) from None
         for d in deltas:
             if not isinstance(d, int) or isinstance(d, bool) or d not in (0, 1):
                 raise DomainError(f"deltas must be the integers 0 or 1, got {d!r}")

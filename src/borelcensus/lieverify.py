@@ -229,7 +229,13 @@ def transitive_on(c: LieClosure, window) -> bool:
     window's first standard basis vector and at a seeded random unit
     vector; the two verdicts must agree.
     """
-    lo, hi = window
+    try:
+        lo, hi = window
+    except (TypeError, ValueError):
+        lo = hi = None
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (lo, hi)):
+        raise DomainError(f"window must be a pair of integers (lo, hi), got {window!r}")
+    lo, hi = int(lo), int(hi)
     elements = c.basis
     n = elements.shape[1]
     if not (0 <= lo < hi <= n):

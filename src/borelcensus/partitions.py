@@ -44,7 +44,11 @@ class Partition:
     parts: tuple
 
     def __post_init__(self):
-        parts = tuple(self.parts)
+        try:
+            parts = tuple(self.parts)
+        except TypeError:
+            msg = f"parts must be an iterable of integers, got {self.parts!r}"
+            raise DomainError(msg) from None
         if not parts:
             raise DomainError("a partition needs at least one part")
         # checked before sorting, which would raise TypeError on mixed types

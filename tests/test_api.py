@@ -1,4 +1,4 @@
-"""Public surface: every exported name resolves, and no per-call tolerance knobs."""
+"""Public surface: the root re-exports each module's names, and no per-call tolerance knobs."""
 
 import dataclasses
 import importlib
@@ -16,10 +16,41 @@ MODULES = [bc] + [
 ]
 
 
+# the library modules in re-export order; cli is the front end, not the library
+LIBRARY = [
+    importlib.import_module(f"borelcensus.{name}")
+    for name in (
+        "errors",
+        "partitions",
+        "flags",
+        "special",
+        "pairs",
+        "lieverify",
+        "invverify",
+        "published",
+    )
+]
+
+
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_all_names_resolve(module):
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert not missing, f"{module.__name__}.__all__ names missing attributes: {missing}"
+
+
+def test_every_library_module_defines_all():
+    assert {m.__name__ for m in MODULES if not hasattr(m, "__all__")} == {"borelcensus.cli"}
+    assert {m.__name__ for m in LIBRARY} == {
+        m.__name__ for m in MODULES if m is not bc and hasattr(m, "__all__")
+    }
+
+
+def test_root_reexports_each_module_all_once():
+    assert bc.__all__ == ["__version__", *(name for m in LIBRARY for name in m.__all__)]
+    assert len(set(bc.__all__)) == len(bc.__all__) == 67
+    for module in LIBRARY:
+        for name in module.__all__:
+            assert getattr(bc, name) is getattr(module, name), (module.__name__, name)
 
 
 def test_restated_group_types_are_gone():

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -324,6 +325,32 @@ class TestExitCodes:
         assert run_json(["solutions", "4003"])["result"]["count"] == str(count_p(1000))
         code, out, err = run(["solutions", "4007"])
         assert code == 1 and not out and "M = 1001" in err
+
+    @pytest.mark.parametrize(
+        "command,parts,field",
+        [
+            ("weyl", ["1"] * 1000, "order"),
+            ("orbit", list(map(str, range(1, 1001))), "orbit_length"),
+        ],
+    )
+    def test_parts_budget_admits_its_bound(self, command, parts, field):
+        # 1000! has 2568 digits, under Python's 4300-digit limit on int to str
+        assert len(parts) == cli.MAX_PARTS
+        assert run_json([command, *parts])["result"][field] == str(math.factorial(1000))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["weyl", *["1"] * 1001],
+            ["orbit", *map(str, range(1, 1002))],
+            ["nodal", *["1"] * 1001, "--delta", "1"],
+        ],
+        ids=["weyl", "orbit", "nodal"],
+    )
+    def test_parts_budget_refuses_one_more(self, argv):
+        code, out, err = run(argv)
+        assert code == 1 and not out
+        assert err == "error: a partition of 1001 parts is over the budget of 1000 parts\n"
 
     def test_verify_inv_budget_states_both_dims(self):
         left, right = ["2"] * 24, ["4"] * 12

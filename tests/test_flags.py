@@ -191,6 +191,8 @@ class TestNodalSubspaces:
     def test_sign_rep_validation(self):
         with pytest.raises(DomainError):
             SignRep((0, 2))
+        with pytest.raises(DomainError, match="got 1"):
+            SignRep(1)
         assert SignRep((0, 0)).trivial and not SignRep((0, 1)).trivial
 
     @pytest.mark.parametrize("delta", [1.7, 0.5, 1.0, "1", True, False, None])

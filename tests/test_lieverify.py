@@ -292,6 +292,18 @@ class TestTransitivity:
         with pytest.raises(DomainError):
             transitive_on(c, (3, 3))
 
+    @pytest.mark.parametrize(
+        "window", [(0.5, 3), (0, 4.0), ("0", 4), (0, 4, 5), (True, 3), (0, False), 4, None, "04"]
+    )
+    def test_window_must_be_a_pair_of_integers(self, window):
+        c = closure(block_algebra(P((4,))), block_algebra(P((4,))))
+        with pytest.raises(DomainError, match="window must be a pair of integers"):
+            transitive_on(c, window)
+
+    def test_numpy_integer_window(self):
+        c = closure(block_algebra(P((4,))), block_algebra(P((4,))))
+        assert transitive_on(c, (np.int64(0), np.int32(4))) is True
+
     def test_ambiguity_band_raises(self):
         from borelcensus.errors import IndeterminateError
         from borelcensus.lieverify import LieClosure

@@ -63,10 +63,16 @@ class TestPartitionType:
         assert p.n == 7 and p.length == 3 and p.min_part == 2
         assert p.prefix_sums() == (2, 4, 7)
 
-    @pytest.mark.parametrize("bad", [(), (0,), (-1, 2), (1.5, 2), (True, 2), (2, "x"), (2, None)])
+    @pytest.mark.parametrize(
+        "bad", [(), (0,), (-1, 2), (1.5, 2), (True, 2), (2, "x"), (2, None), 5, None]
+    )
     def test_rejects_bad_parts(self, bad):
         with pytest.raises(DomainError):
             Partition(bad)
+
+    def test_non_iterable_is_named(self):
+        with pytest.raises(DomainError, match="iterable of integers, got 5"):
+            Partition(5)
 
     def test_ordering_and_equality(self):
         assert Partition((2, 3)) == Partition((3, 2))

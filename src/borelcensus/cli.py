@@ -13,18 +13,20 @@ P(N) partitions, `special N` P(M) base partitions, and `list N` P(N),
 P(N;1), Q(N) or Q(N;1) by --distinct and by whether --min-part is at
 least 2 (an upper bound for --min-part above 2).  Each refuses an input
 whose count exceeds MAX_ENUMERATED.  `verify-inv` refuses a pair whose
-two fixed spaces have more than MAX_SPACE_DIMS dimensions together, and
-`verify-lie` a pair of partitions of N > MAX_LIE_N, before it builds any
-matrix.  Every PARTS argument takes at most MAX_PARTS parts: the Weyl
-group order of 1559 equal parts, like the orbit length of 1559 distinct
-ones, has more digits than Python prints, and `nodal`'s output grows
-with the square of the part count.
+two fixed spaces have more than MAX_SPACE_DIMS dimensions together, or
+whose refinement pieces have more than MAX_MONOMIALS monomials of degree
+<= D/2, and `verify-lie` a pair of partitions of N > MAX_LIE_N, before it
+builds any matrix.  Every PARTS argument takes at most MAX_PARTS parts:
+the Weyl group order of 1559 equal parts, like the orbit length of 1559
+distinct ones, has more digits than Python prints, and `nodal`'s output
+grows with the square of the part count.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from math import comb
 
 from . import __version__
 from .errors import DomainError, InternalInvariantError, NumericalError
@@ -80,10 +82,21 @@ commands:
 
 MAX_COUNT_N = 10**5
 MAX_ENUMERATED = 10**6  # partitions that list, census and special may enumerate
-# dim U + dim W that verify-inv may build.  The largest measured input (dims
-# 574 + 1792, 28 refinement pieces) took 12 s and 0.5 GB on one core of a
-# 2-core x86 host, almost all of it in the float SVD that reports the margins.
+# dim U + dim W that verify-inv may build.  Twenty-two parts 2 against eleven
+# parts 4 at degree 8 (dims 2046 + 297) took 6.0 s and 0.25 GB on a 2-core x86
+# host, 5.4 s of it (cProfile) in the float SVD that reports the margins.
 MAX_SPACE_DIMS = 2400
+# monomials of degree <= D/2 in the R refinement pieces, C(R + D/2, D/2), that
+# verify-inv may expand into: a cap on the terms of every basis polynomial and
+# on the columns of every float matrix.  The worst shape is one block against
+# R parts 2, whose block expands to every monomial.  On a 2-core x86 host
+# `44 -- 2^22 --degree 8` (C = 14950) took 6.6 s and 392 MB; over the budget,
+# `46 -- 2^23` (C = 17550) took 9.5 s and 516 MB and `104 -- 2^52 --degree 6`
+# (C = 26235) 9.6 s and 564 MB.  Few pieces spend the time in the float SVD;
+# many spend it in _norm_monomial, which concatenates exponent tuples block by
+# block: `342 -- 2^171 --degree 4` (C = 14878) spent 1.9 of 2.5 s there
+# under cProfile.
+MAX_MONOMIALS = 15000
 # N that verify-lie may close.  On one core of a 2-core x86 host the slowest
 # closure measured at N = 32 was sixteen parts 2 against 3 29, 4.2 s; at
 # N = 40 twenty parts 2 against 3 37 took 23 s.  A seed that spans so(N)
@@ -447,6 +460,13 @@ def _cmd_verify_inv(tokens):
         raise DomainError(
             f"verify-inv would build fixed spaces of dimensions {dims[0]} and {dims[1]}, "
             f"over the budget of {MAX_SPACE_DIMS} in total"
+        )
+    pieces = len({*p1.prefix_sums(), *p2.prefix_sums()})
+    monomials = comb(pieces + degree // 2, degree // 2)
+    if monomials > MAX_MONOMIALS:
+        raise DomainError(
+            f"verify-inv would expand into {monomials} monomials of {pieces} refinement "
+            f"pieces, over the budget of {MAX_MONOMIALS}"
         )
     report = verify_pair(p1, p2, degree)
     inputs = {"left": list(p1.parts), "right": list(p2.parts), "degree": degree}

@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import comb, factorial, prod
 
 import numpy as np
@@ -133,20 +133,17 @@ def _norm_monomial(alpha, sizes, step=2):
     return poly
 
 
-@cache
 def _alphas(r, wmax):
-    """Exponent vectors over r block variables with total weight <= wmax."""
-    out = []
+    """Exponent vectors over r block variables with total weight <= wmax.
 
-    def rec(prefix, budget):
-        if len(prefix) == r:
-            out.append(tuple(prefix))
-            return
-        for v in range(budget + 1):
-            rec(prefix + [v], budget - v)
-
-    rec([], wmax)
-    return tuple(out)
+    Stars and bars: each multiset of wmax indices from range(r + 1) counts
+    each block's entry, and index r holds the unused weight.
+    """
+    for picks in combinations_with_replacement(range(r + 1), wmax):
+        alpha = [0] * (r + 1)
+        for i in picks:
+            alpha[i] += 1
+        yield tuple(alpha[:r])
 
 
 def invariant_space(p: Partition, d: int) -> PolySubspace:
@@ -286,20 +283,20 @@ def swap_antisymmetric_space(p: Partition, inv: InvolutionSpec, d: int) -> PolyS
 def _swap_basis(length, swap, d, expand):
     """q^alpha - q^alpha' for each alpha with a larger entry on swap's first block.
 
-    alpha' is alpha with the two swapped blocks' entries exchanged, and
-    expand writes a block-norm monomial in the caller's variables.
+    alpha holds x > y on the two swapped blocks and any rest of weight
+    <= w - x - y on the others; alpha' exchanges x and y.  expand writes a
+    block-norm monomial in the caller's variables.
     """
-    a, b = swap.block_a - 1, swap.block_b - 1
+    a, b, w = swap.block_a - 1, swap.block_b - 1, d // 2
     basis = []
-    for alpha in _alphas(length, d // 2):
-        if alpha[a] <= alpha[b]:
-            continue
-        swapped = list(alpha)
-        swapped[a], swapped[b] = swapped[b], swapped[a]
-        poly = expand(alpha)
-        for e, val in expand(tuple(swapped)).items():
-            poly[e] = poly.get(e, 0) - val
-        basis.append(poly)
+    for x in range(1, w + 1):
+        for y in range(min(x, w - x + 1)):
+            for rest in _alphas(length - 2, w - x - y):
+                head, mid, tail = rest[:a], rest[a : b - 1], rest[b - 1 :]
+                poly = expand((*head, x, *mid, y, *tail))
+                for e, val in expand((*head, y, *mid, x, *tail)).items():
+                    poly[e] = poly.get(e, 0) - val
+                basis.append(poly)
     return basis
 
 
@@ -345,7 +342,7 @@ def invariant_dim_by_derivations(p: Partition, d: int) -> int:
     """
     _check_parts(p)
     _check_degree(d)
-    mons = _alphas(p.n, d)
+    mons = tuple(_alphas(p.n, d))
     index = {e: i for i, e in enumerate(mons)}
 
     pairs_in_blocks = []

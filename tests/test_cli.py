@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -200,6 +201,11 @@ class TestCommands:
         assert env["result"]["sv_dropped_max"] < 1e-9
         assert min(env["result"]["dims"]) >= 1
 
+    def test_verify_inv_many_parts(self):
+        code, out, err = run(["verify-inv", *["2"] * 1000, "--", *["4"] * 500, "--degree", "2"])
+        assert code == 0 and not err
+        assert "space dimensions 1 and 1" in out and "PASS" in out
+
     def test_nodal(self):
         env = run_json(["nodal", "2", "2", "2", "--delta", "1"])
         pairs = [(s["block_a"], s["block_b"]) for s in env["result"]["subspaces"]]
@@ -358,6 +364,21 @@ class TestExitCodes:
         assert code == 1 and not out
         assert "2624 and 376" in err and str(cli.MAX_SPACE_DIMS) in err
 
+    @pytest.mark.parametrize(
+        "left,right", [(["2000"], ["2"] * 1000), (["2"] * 1000, ["4"] * 500)], ids=["block", "4s"]
+    )
+    def test_verify_inv_monomial_budget_refuses_before_building(self, monkeypatch, left, right):
+        def boom(*_args, **_kwargs):
+            raise AssertionError("verify-inv built fixed spaces for an input over its budget")
+
+        monkeypatch.setattr(cli, "verify_pair", boom)
+        start = time.perf_counter()
+        code, out, err = run(["verify-inv", *left, "--", *right, "--degree", "4"])
+        assert time.perf_counter() - start < 1
+        assert code == 1 and not out
+        # C(1000 + 2, 2) monomials of degree <= 2 in the 1000 refinement pieces
+        assert "501501 monomials" in err and str(cli.MAX_MONOMIALS) in err
+
     def test_verify_lie_budget_refuses_before_building(self, monkeypatch):
         def boom(*_args, **_kwargs):
             raise AssertionError("verify-lie built matrices for an input over its budget")
@@ -430,6 +451,17 @@ def _fuzz_pair(rng, max_n):
     return [*_fuzz_parts(rng, n), "--", *_fuzz_parts(rng, right_n)]
 
 
+def _fuzz_many_parts(rng):
+    """One block or parts 4 against 500 to 1000 parts 2, at degree 2 to 8.
+
+    At these part counts only degree 2 is inside verify-inv's budgets, so
+    every case answers or is refused in well under a second.
+    """
+    k = rng.randint(250, 500)
+    left = rng.choice([[str(4 * k)], ["4"] * k])
+    return [*left, "--", *["2"] * (2 * k), "--degree", str(rng.choice((2, 4, 6, 8)))]
+
+
 # Each entry builds one command's argv with every size under the bound that
 # keeps a case fast; the stray tokens can only turn a case into an error.
 _FUZZ_GRAMMAR = {
@@ -445,8 +477,9 @@ _FUZZ_GRAMMAR = {
     "solutions": lambda r: [_fuzz_int(r, 60)],
     "pair": lambda r: _fuzz_pair(r, 40),
     "verify-lie": lambda r: _fuzz_pair(r, 12) + r.choice([[], ["--matrices"]]),
-    "verify-inv": lambda r: _fuzz_pair(r, 16)
-    + r.choice([[], ["--degree", _fuzz_int(r, 6)]]),
+    "verify-inv": lambda r: _fuzz_many_parts(r)
+    if r.random() < 0.5
+    else _fuzz_pair(r, 16) + r.choice([[], ["--degree", _fuzz_int(r, 6)]]),
     "nodal": lambda r: _fuzz_parts(r, r.randint(1, 20), max_part=3)
     + ["--delta", "".join(r.choice("01") for _ in range(r.randint(0, 3)))],
     "classify": lambda r: [_fuzz_int(r, 60)],

@@ -1,6 +1,8 @@
 """Polynomial fixed-space surrogate: dimensions, intersections, independence."""
 
 import dataclasses
+import inspect
+import sys
 from itertools import combinations, permutations, product
 from math import comb
 
@@ -138,6 +140,21 @@ class TestInvariantSpace:
                     expected = comb(p.length + d // 2, p.length)
                     assert invariant_space(p, d).dim == expected
 
+    @pytest.mark.parametrize("r", range(7))
+    def test_alphas_yield_each_vector_once(self, r):
+        for w in range(5):
+            every = [a for a in product(range(w + 1), repeat=r) if sum(a) <= w]
+            assert sorted(invverify._alphas(r, w)) == every
+
+    def test_many_blocks_need_no_recursion(self):
+        # the stack is 100 frames deeper than the test's own, under 300 blocks
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            assert invariant_space(P((2,) * 300), 2).dim == 301
+        finally:
+            sys.setrecursionlimit(limit)
+
     def test_odd_degree_rejected(self):
         with pytest.raises(DomainError):
             invariant_space(P((2, 2)), 3)
@@ -187,20 +204,26 @@ class TestExpandedCoefficients:
         assert sorted(alphas) == sorted(every)
 
     def test_swap_basis_is_difference_of_monomials(self):
-        p = P((2, 2, 3))
+        # every swap of (2, 2, 2, 3), the non-adjacent (1, 3) among them
+        p = P((2, 2, 2, 3))
         rng = np.random.default_rng(12)
-        space = swap_antisymmetric_space(p, InvolutionSpec(1, 2, 2), 6)
-        assert space.dim > 0
-        for poly in space.basis:
-            alpha = block_alpha(p, next(e for e, c in poly.items() if c > 0))
-            assert alpha[0] > alpha[1]
-            swapped = (alpha[1], alpha[0], alpha[2])
-            for _ in range(3):
-                x = rng.standard_normal(p.n)
-                q_alpha = norm_monomial_eval(p, alpha, x)
-                q_swapped = norm_monomial_eval(p, swapped, x)
-                expected = q_alpha - q_swapped
-                assert abs(poly_eval(poly, x) - expected) <= 1e-10 * (q_alpha + q_swapped)
+        for (a, b), d in product([(1, 2), (1, 3), (2, 3)], (2, 4, 6, 8)):
+            space = swap_antisymmetric_space(p, InvolutionSpec(a, b, 2), d)
+            alphas = []
+            for poly in space.basis:
+                alpha = block_alpha(p, next(e for e, c in poly.items() if c > 0))
+                alphas.append(alpha)
+                swapped = list(alpha)
+                swapped[a - 1], swapped[b - 1] = alpha[b - 1], alpha[a - 1]
+                for _ in range(3):
+                    x = rng.standard_normal(p.n)
+                    q_alpha = norm_monomial_eval(p, alpha, x)
+                    q_swapped = norm_monomial_eval(p, swapped, x)
+                    expected = q_alpha - q_swapped
+                    assert abs(poly_eval(poly, x) - expected) <= 1e-10 * (q_alpha + q_swapped)
+            every = product(range(d // 2 + 1), repeat=p.length)
+            kept = [e for e in every if sum(e) <= d // 2 and e[a - 1] > e[b - 1]]
+            assert sorted(alphas) == kept, (a, b, d)
 
 
 class TestIntertwiningSpace:

@@ -188,23 +188,22 @@ def _signed_factors(p, rho):
 def class_census(n: int) -> ClassCensus:
     """Census of flag classes of n, recounted by enumeration as a safety net.
 
-    The six closed-form counts come from one `partition_counts` call.  One
-    pass over the partitions of n recounts the totals and the classes with
-    a repeated part (nontrivial Weyl group), with and without parts of
-    size 1; a mismatch raises InternalInvariantError.  The pass makes this
-    O(P(n)), so the census is a desk-scale operation.
+    The six closed-form counts come from one `partition_counts` call.  Four
+    counting passes of the enumerator recount P(n), Q(n), P(n;1) and
+    Q(n;1) (all parts, distinct parts, and both with parts >= 2); all six
+    columns, the differences R = P - Q included, are compared with the
+    closed forms, and a mismatch in any of them raises
+    InternalInvariantError.  The passes make this O(P(n)), so the census
+    is a desk-scale operation.
     """
     c = partition_counts(n)
-    total = nontrivial = total2 = nontrivial2 = 0
-    for t in _tuples(n, 1, False):
-        repeated = len(set(t)) < len(t)
-        total += 1
-        nontrivial += repeated
-        if t[0] >= 2:
-            total2 += 1
-            nontrivial2 += repeated
-    expected = (c.p, c.r, c.p_ge2, c.r_ge2)
-    got = (total, nontrivial, total2, nontrivial2)
+    p, q, p2, q2 = (
+        sum(1 for _ in _tuples(n, floor, distinct))
+        for floor in (1, 2)
+        for distinct in (False, True)
+    )
+    expected = (c.p, c.q, c.r, c.p_ge2, c.q_ge2, c.r_ge2)
+    got = (p, q, p - q, p2, q2, p2 - q2)
     if expected != got:
         raise InternalInvariantError(f"census recount mismatch at n={n}: {expected} vs {got}")
 

@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Agreement:
     """Both partitions carry the same part at this coordinate offset."""
 
@@ -42,7 +42,7 @@ class Agreement:
         return self.part
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Window:
     """A maximal interval with no shared intermediate prefix sum.
 
@@ -72,7 +72,7 @@ class Window:
         return next(_adjacent_swaps(parts, first), None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairDecomposition:
     """The generated group: one orthogonal factor per segment.
 
@@ -119,7 +119,7 @@ class PairDecomposition:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WindowPlan:
     """A window together with an order-two block swap localized inside it.
 
@@ -133,9 +133,12 @@ class WindowPlan:
     swap: InvolutionSpec
 
 
-def _check_pair(p1: Partition, p2: Partition):
-    if p1.n != p2.n:
-        raise DomainError(f"partitions of different numbers: {p1.n} vs {p2.n}")
+def _check_pair(p1: Partition, p2: Partition) -> int:
+    """The number both partitions partition; refuses two different ones."""
+    n = p1.n
+    if n != p2.n:
+        raise DomainError(f"partitions of different numbers: {n} vs {p2.n}")
+    return n
 
 
 def has_common_subpartition(p1: Partition, p2: Partition):
@@ -150,10 +153,10 @@ def has_common_subpartition(p1: Partition, p2: Partition):
 
 def decompose(p1: Partition, p2: Partition) -> PairDecomposition:
     """Alternating agreement/window decomposition (minimal windows)."""
-    _check_pair(p1, p2)
-    if p1.min_part < 2 or p2.min_part < 2:
-        raise DomainError("every part must be >= 2 on both sides")
+    n = _check_pair(p1, p2)
     a, b = p1.parts, p2.parts
+    if a[0] < 2 or b[0] < 2:
+        raise DomainError("every part must be >= 2 on both sides")
     segments = []
     i = j = 0
     pos = 0
@@ -186,7 +189,7 @@ def decompose(p1: Partition, p2: Partition) -> PairDecomposition:
             )
         )
         pos = ta
-    return PairDecomposition(n=p1.n, segments=tuple(segments))
+    return PairDecomposition(n=n, segments=tuple(segments))
 
 
 def generated_group(p1: Partition, p2: Partition) -> PairDecomposition:

@@ -6,6 +6,12 @@ Q(n), and the parts>=2 variants P(n;1), Q(n;1), R(n;1) via the subtraction
 and alternating recurrences.  A direct enumerator backs everything as
 an independent oracle, and the Hardy-Littlewood leading terms give the
 asymptotic cross-check.
+
+`Partition(...)` checks and sorts whatever it is given.  The one unchecked
+path is the private `_trusted`, which wraps a tuple that is already sorted
+and made of positive ints; only `enumerate_partitions` (on the enumerator's
+own tuples) and `special.family` (on sorted doubled bases, whose invariants
+it re-checks) use it.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import math
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import DomainError
 
@@ -33,7 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Partition:
     """A partition of n in canonical (non-decreasing) form.
 
@@ -72,14 +79,17 @@ class Partition:
 
     def prefix_sums(self) -> tuple:
         """Cumulative sums n_1, n_1+n_2, ..., n (the flag dimensions)."""
-        out, acc = [], 0
-        for v in self.parts:
-            acc += v
-            out.append(acc)
-        return tuple(out)
+        return tuple(accumulate(self.parts))
 
     def __str__(self):
         return "{" + ",".join(str(v) for v in self.parts) + "}"
+
+
+def _trusted(parts):
+    """A Partition of a tuple already sorted and made of positive ints, unchecked."""
+    p = object.__new__(Partition)
+    object.__setattr__(p, "parts", parts)
+    return p
 
 
 @dataclass(frozen=True)
@@ -240,7 +250,7 @@ def enumerate_partitions(n: int, min_part: int = 1, distinct: bool = False) -> l
     """
     _check_positive(n)
     _check_positive(min_part, "min_part")
-    return [Partition(t) for t in _tuples(n, min_part, distinct)]
+    return [_trusted(t) for t in _tuples(n, min_part, distinct)]
 
 
 def asymptotic_p(n: int) -> float:

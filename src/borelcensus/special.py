@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError, UnsupportedDimensionError
-from .partitions import Partition, _tuples, count_p
+from .partitions import Partition, _trusted, _tuples, count_p
 
 __all__ = ["SpecialFamily", "applicable_case", "double_partition", "family", "solutions_count"]
 
@@ -73,10 +73,12 @@ def family(n: int) -> SpecialFamily:
     """The full family at dimension n, with its invariants re-verified.
 
     A flag class is its canonical partition, so the members are pairwise
-    non-equivalent exactly when they are pairwise distinct.
+    non-equivalent exactly when they are pairwise distinct.  Members are
+    built unchecked from the sorted doubled bases; the checks below are
+    what guard them.
     """
     case, m = applicable_case(n)
-    members = tuple(Partition(_doubled(t, case)) for t in _tuples(m, 1, False))
+    members = tuple(_trusted(tuple(sorted(_doubled(t, case)))) for t in _tuples(m, 1, False))
     for p in members:
         if p.n != n or p.min_part < 2 or len(set(p.parts)) == p.length:
             raise InternalInvariantError(f"double partition {p} violates the construction")

@@ -92,3 +92,10 @@ def test_one_rank_threshold_and_no_tolerance_options():
         "residual_kept_min",
         "residual_dropped_max",
     ]
+
+
+def test_count_records_stay_dict_backed():
+    # perfbench/workloads.py reads these two records with vars(), so they
+    # keep their __dict__ while the hot exact types are slotted.
+    for record in (bc.partition_counts(10), bc.class_census(10)):
+        assert vars(record) == dataclasses.asdict(record)

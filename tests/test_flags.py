@@ -119,7 +119,7 @@ class TestCensus:
             assert c.trivial_weyl_ge2 == count_q_ge2(n)
             assert c.nontrivial_weyl_ge2 == count_r_ge2(n)
 
-    @pytest.mark.parametrize("field", ["p", "r", "p_ge2", "r_ge2"])
+    @pytest.mark.parametrize("field", ["p", "q", "r", "p_ge2", "q_ge2", "r_ge2"])
     def test_recount_mismatch_raises(self, monkeypatch, field):
         real = flags.partition_counts
 

@@ -1,5 +1,6 @@
 """Pair decomposition, generated-group structure, transitivity predicates."""
 
+import dataclasses
 import random
 from itertools import combinations
 
@@ -65,6 +66,14 @@ class TestDecompose:
     def test_rejects_mismatched_n(self):
         with pytest.raises(DomainError):
             decompose(P((2, 2)), P((2, 4)))
+
+    def test_segments_and_plan_are_slotted_and_frozen(self):
+        dec = decompose(P((2, 2, 4, 4)), P((2, 2, 8)))
+        agreement, window = dec.segments[1:]
+        for obj in (agreement, window, dec, dec.window_plan):
+            assert not hasattr(obj, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, dataclasses.fields(obj)[0].name, 0)
 
     def sweep_pairs(self, max_n):
         for n in range(4, max_n + 1):

@@ -1,7 +1,9 @@
 """Counting and enumeration, cross-validated by independent oracles."""
 
+import dataclasses
 import random
 from concurrent.futures import ThreadPoolExecutor
+from itertools import pairwise
 
 import pytest
 
@@ -17,6 +19,7 @@ from borelcensus import (
     count_r,
     count_r_ge2,
     enumerate_partitions,
+    family,
     partition_counts,
 )
 from borelcensus import partitions
@@ -80,6 +83,42 @@ class TestPartitionType:
             Partition((1, 3)),
             Partition((4,)),
         ]
+
+
+def assert_as_checked(built):
+    """A Partition built without checks equals its checked construction in every respect."""
+    checked = Partition(built.parts)
+    assert type(built) is Partition
+    assert built == checked and hash(built) == hash(checked)
+    assert str(built) == str(checked)
+    assert not (built < checked or checked < built)
+
+
+class TestTrustedPath:
+    """enumerate_partitions and family build members unchecked; each matches Partition(...)."""
+
+    @pytest.mark.parametrize("distinct", [False, True])
+    @pytest.mark.parametrize("min_part", [1, 2, 3])
+    def test_enumeration_matches_checked_construction(self, min_part, distinct):
+        for n in range(1, 21):
+            built = enumerate_partitions(n, min_part, distinct)
+            for p in built:
+                assert_as_checked(p)
+            for a, b in pairwise(built):
+                ca, cb = Partition(a.parts), Partition(b.parts)
+                assert a < b and ca < cb and a < cb and ca < b
+                assert not (b < a or cb < ca)
+
+    def test_family_members_match_checked_construction(self):
+        for n in [4] + list(range(6, 41)):
+            for p in family(n).members:
+                assert_as_checked(p)
+
+    def test_slotted_and_frozen(self):
+        for p in (Partition((2, 1)), enumerate_partitions(4)[0], family(8).members[0]):
+            assert not hasattr(p, "__dict__")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                p.parts = (4,)
 
 
 class TestCounts:

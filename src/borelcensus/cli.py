@@ -3,9 +3,10 @@
 Every invocation builds one envelope {command, inputs, result, errata,
 version}; --json prints it as a single JSON object (big counts as decimal
 strings), --output writes it to a file, and plain mode renders a human
-summary.  Exit codes: 0 success, 1 domain error, an input over its budget
-or an unwritable --output file, 2 usage error, 3 indeterminate numerical
-result, 4 a failed internal consistency check.
+summary.  A result or erratum built from a record carries the record's own
+field names.  Exit codes: 0 success, 1 domain error, an input over its
+budget or an unwritable --output file, 2 usage error, 3 indeterminate
+numerical result, 4 a failed internal consistency check.
 
 Input budgets: `count N` takes N <= MAX_COUNT_N, and `solutions N` the
 same bound on the base M it counts P(M) for; `census N` enumerates
@@ -208,16 +209,9 @@ def _errata_for_n(n):
     return out
 
 
-def _counts_payload(c):
-    return {
-        "n": c.n,
-        "p": str(c.p),
-        "q": str(c.q),
-        "r": str(c.r),
-        "p_ge2": str(c.p_ge2),
-        "q_ge2": str(c.q_ge2),
-        "r_ge2": str(c.r_ge2),
-    }
+def _decimal(record):
+    """The record's fields by name, every count but n as a decimal string."""
+    return {k: v if k == "n" else str(v) for k, v in vars(record).items()}
 
 
 def _cmd_count(tokens):
@@ -233,7 +227,7 @@ def _cmd_count(tokens):
         f"Q({n};1) = {c.q_ge2}",
         f"R({n};1) = {c.r_ge2}",
     ]
-    return {"n": n}, _counts_payload(c), _errata_for_n(n), plain
+    return {"n": n}, _decimal(c), _errata_for_n(n), plain
 
 
 def _cmd_list(tokens):
@@ -265,10 +259,7 @@ def _cmd_weyl(tokens):
         "factors": [[v, m] for v, m in w.factors],
         "order": str(w.order),
         "nontrivial": w.nontrivial,
-        "involutions": [
-            {"block_a": i.block_a, "block_b": i.block_b, "block_size": i.block_size}
-            for i in w.involutions
-        ],
+        "involutions": [vars(i) for i in w.involutions],
     }
     plain = [
         f"partition {p}",
@@ -302,22 +293,13 @@ def _cmd_census(tokens):
     n = _one_int(tokens)
     _check_enumeration_budget(f"census {n}", n, count_p, "P({})")
     c = class_census(n)
-    result = {
-        "n": n,
-        "total": str(c.total),
-        "trivial_weyl": str(c.trivial_weyl),
-        "nontrivial_weyl": str(c.nontrivial_weyl),
-        "total_ge2": str(c.total_ge2),
-        "trivial_weyl_ge2": str(c.trivial_weyl_ge2),
-        "nontrivial_weyl_ge2": str(c.nontrivial_weyl_ge2),
-    }
     plain = [
         f"flag classes of {n}: {c.total} total, {c.trivial_weyl} trivial Weyl, "
         f"{c.nontrivial_weyl} nontrivial",
         f"with parts >= 2: {c.total_ge2} total, {c.trivial_weyl_ge2} trivial Weyl, "
         f"{c.nontrivial_weyl_ge2} nontrivial",
     ]
-    return {"n": n}, result, _errata_for_n(n), plain
+    return {"n": n}, _decimal(c), _errata_for_n(n), plain
 
 
 def _cmd_special(tokens):
@@ -326,9 +308,7 @@ def _cmd_special(tokens):
     _check_enumeration_budget(f"special {n}", m, count_p, "P({})")
     fam = family(n)
     result = {
-        "n": n,
-        "case": fam.case,
-        "m": fam.m,
+        **vars(fam),
         "count": str(len(fam.members)),
         "members": [list(p.parts) for p in fam.members],
     }
@@ -381,9 +361,7 @@ def _cmd_pair(tokens):
             "window_start": plan.window.start,
             "window_size": plan.window.size,
             "side": plan.side,
-            "block_a": plan.swap.block_a,
-            "block_b": plan.swap.block_b,
-            "block_size": plan.swap.block_size,
+            **vars(plan.swap),
         },
     }
     plain = [f"{p1} vs {p2}"]
@@ -470,18 +448,7 @@ def _cmd_verify_inv(tokens):
         )
     report = verify_pair(p1, p2, degree)
     inputs = {"left": list(p1.parts), "right": list(p2.parts), "degree": degree}
-    result = {
-        "degree": report.degree,
-        "window_start": report.window_start,
-        "window_size": report.window_size,
-        "carrier_side": report.carrier_side,
-        "swaps": [list(s) if s is not None else None for s in report.swaps],
-        "dims": list(report.dims),
-        "intersection": report.intersection,
-        "passed": report.passed,
-        "sv_kept_min": report.sv_kept_min,
-        "sv_dropped_max": report.sv_dropped_max,
-    }
+    result = {k: v for k, v in vars(report).items() if k not in ("p1", "p2")}
     plain = [
         f"window [{report.window_start}, {report.window_start + report.window_size}) "
         f"carried by side {report.carrier_side}",
@@ -535,7 +502,7 @@ def _cmd_table(tokens):
     rows = [partition_counts(n) for n in range(1, max_n + 1)]
     errata = table_errata(max_n)
     flagged = {e.n for e in errata}
-    result = {"max": max_n, "rows": [_counts_payload(c) for c in rows]}
+    result = {"max": max_n, "rows": [_decimal(c) for c in rows]}
     header = f"{'N':>4} {'P':>10} {'Q':>8} {'R':>10} {'P(;1)':>8} {'Q(;1)':>8} {'R(;1)':>8}"
     plain = [header]
     for c in rows:
@@ -604,10 +571,7 @@ def run(argv, stdout=None, stderr=None) -> int:
             "command": command,
             "inputs": inputs,
             "result": result,
-            "errata": [
-                {"n": e.n, "column": e.column, "printed": e.printed, "computed": e.computed}
-                for e in errata
-            ],
+            "errata": [vars(e) for e in errata],
             "version": __version__,
         }
         text = json.dumps(envelope, sort_keys=True, separators=(",", ":"))

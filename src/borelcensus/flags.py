@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from itertools import combinations
 
 from .errors import DomainError, InternalInvariantError
@@ -202,20 +202,13 @@ def class_census(n: int) -> ClassCensus:
         for floor in (1, 2)
         for distinct in (False, True)
     )
-    expected = (c.p, c.q, c.r, c.p_ge2, c.q_ge2, c.r_ge2)
+    expected = astuple(c)[1:]
     got = (p, q, p - q, p2, q2, p2 - q2)
     if expected != got:
         raise InternalInvariantError(f"census recount mismatch at n={n}: {expected} vs {got}")
-
-    return ClassCensus(
-        n=n,
-        total=c.p,
-        trivial_weyl=c.q,
-        nontrivial_weyl=c.r,
-        total_ge2=c.p_ge2,
-        trivial_weyl_ge2=c.q_ge2,
-        nontrivial_weyl_ge2=c.r_ge2,
-    )
+    # ClassCensus lists n and the six counts in PartitionCounts' order:
+    # total = P, trivial Weyl = Q, nontrivial = R, then the same for parts >= 2.
+    return ClassCensus(*astuple(c))
 
 
 def borel_classification(n: int) -> list:

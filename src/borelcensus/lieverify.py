@@ -227,7 +227,8 @@ def transitive_on(c: LieClosure, window) -> bool:
     window is a half-open coordinate range (lo, hi); every basis element
     must preserve the window subspace.  The tangent rank is probed at the
     window's first standard basis vector and at a seeded random unit
-    vector; the two verdicts must agree.
+    vector; the two verdicts must agree.  A one-coordinate window is never
+    transitive: its sphere is two points, which a connected group fixes.
     """
     try:
         lo, hi = window
@@ -250,6 +251,8 @@ def transitive_on(c: LieClosure, window) -> bool:
             raise DomainError(f"window {window} is not invariant (spill {spill:.2e})")
 
     dim = hi - lo
+    if dim == 1:
+        return False
     x1 = np.zeros(n)
     x1[lo] = 1.0
     rng = np.random.default_rng(_PROBE_SEED)

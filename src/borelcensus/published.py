@@ -7,7 +7,7 @@ column at N = 7 and 8) and one list entry (N = 3) disagree with the
 recurrences; the errata helpers report exactly those.
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .partitions import partition_counts
 
@@ -57,18 +57,13 @@ class Erratum:
         )
 
 
-def _computed_row(n):
-    c = partition_counts(n)
-    return (c.p, c.q, c.r, c.p_ge2, c.q_ge2, c.r_ge2)
-
-
 def table_errata(max_n: int = 10) -> list:
     """Cells of the published table that the recurrences contradict."""
     out = []
     for n in sorted(PUBLISHED_TABLE):
         if n > max_n:
             break
-        computed = _computed_row(n)
+        computed = astuple(partition_counts(n))[1:]
         for col, printed, got in zip(_COLUMNS, PUBLISHED_TABLE[n], computed):
             if printed != got:
                 out.append(Erratum(n=n, column=col, printed=printed, computed=got))

@@ -95,7 +95,17 @@ def test_one_rank_threshold_and_no_tolerance_options():
 
 
 def test_count_records_stay_dict_backed():
-    # perfbench/workloads.py reads these two records with vars(), so they
-    # keep their __dict__ while the hot exact types are slotted.
-    for record in (bc.partition_counts(10), bc.class_census(10)):
-        assert vars(record) == dataclasses.asdict(record)
+    # perfbench/workloads.py reads the two count records with vars(), and
+    # cli.py renders every record below with vars(), so they keep their
+    # __dict__ while the hot exact types are slotted.
+    records = (
+        bc.partition_counts(10),
+        bc.class_census(10),
+        bc.weyl(bc.Partition((2, 2))).involutions[0],
+        bc.verify_pair(bc.Partition((4, 4)), bc.Partition((2, 2, 2, 2)), 4),
+        bc.table_errata()[0],
+        bc.family(12),
+    )
+    for record in records:
+        fields = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+        assert vars(record) == fields

@@ -1,10 +1,12 @@
 """CLI contract: envelopes, exit codes, errata, round-tripping."""
 
+import dataclasses
 import io
 import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -13,7 +15,19 @@ from pathlib import Path
 import pytest
 
 import borelcensus.cli as cli
-from borelcensus import Partition, count_p, flags, pairs, verify_pair
+from borelcensus import (
+    ClassCensus,
+    Erratum,
+    IndependenceReport,
+    InvolutionSpec,
+    Partition,
+    PartitionCounts,
+    SpecialFamily,
+    count_p,
+    flags,
+    pairs,
+    verify_pair,
+)
 from borelcensus.errors import IndeterminateError
 
 
@@ -135,8 +149,15 @@ class TestCommands:
 
     def test_census(self):
         env = run_json(["census", "6"])
-        assert env["result"]["total"] == "11"
-        assert env["result"]["nontrivial_weyl"] == "7"
+        assert env["result"] == {
+            "n": 6,
+            "total": "11",
+            "trivial_weyl": "4",
+            "nontrivial_weyl": "7",
+            "total_ge2": "4",
+            "trivial_weyl_ge2": "2",
+            "nontrivial_weyl_ge2": "2",
+        }
 
     def test_special(self):
         env = run_json(["special", "12"])
@@ -238,6 +259,53 @@ class TestCommands:
         env = run_json(["plist"])
         assert env["result"]["values"][-1] == [49, "173525"]
         assert [(e["n"], e["printed"], e["computed"]) for e in env["errata"]] == [(3, 2, 3)]
+
+
+def _names(record_type):
+    return {f.name for f in dataclasses.fields(record_type)}
+
+
+def _result(env):
+    return [env["result"]]
+
+
+# name -> (command, its record-backed payloads, their record type, keys the
+# payload adds, fields it leaves out)
+RECORD_PAYLOADS = {
+    "count": ("count 10", _result, PartitionCounts, set(), set()),
+    "census": ("census 6", _result, ClassCensus, set(), set()),
+    "table": ("table --max 1", lambda env: env["result"]["rows"], PartitionCounts, set(), set()),
+    "special": ("special 12", _result, SpecialFamily, {"count"}, set()),
+    "weyl": (
+        "weyl 2 2 4 4", lambda env: env["result"]["involutions"], InvolutionSpec, set(), set()
+    ),
+    "pair": (
+        "pair 2 2 2 2 2 2 -- 2 2 4 4",
+        lambda env: [env["result"]["window_plan"]],
+        InvolutionSpec,
+        {"window_start", "window_size", "side"},
+        set(),
+    ),
+    "verify-inv": ("verify-inv 4 4 -- 2 2 2 2", _result, IndependenceReport, set(), {"p1", "p2"}),
+    "errata": ("count 7", lambda env: env["errata"], Erratum, set(), set()),
+}
+
+
+@pytest.mark.parametrize("name", RECORD_PAYLOADS)
+def test_record_payload_keys_are_the_record_fields(name):
+    argv, payloads, record, added, dropped = RECORD_PAYLOADS[name]
+    found = payloads(run_json(argv.split()))
+    assert found
+    for payload in found:
+        assert set(payload) == (_names(record) - dropped) | added
+
+
+def test_readme_command_block_matches_usage():
+    usage = [line.strip() for line in cli.USAGE.split("commands:\n")[1].splitlines() if line]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = next(b for b in re.findall(r"```\n(.*?)```", readme, re.S) if b.startswith("count N"))
+    assert block.splitlines() == usage
+    assert [line.split()[0] for line in usage] == list(cli._COMMANDS)
 
 
 class TestExitCodes:

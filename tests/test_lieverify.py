@@ -282,6 +282,15 @@ class TestTransitivity:
         c = closure(block_algebra(P((2, 2, 4))), block_algebra(P((2, 6))))
         assert transitive_on(c, (2, 8)) is True
 
+    def test_one_coordinate_window_false(self):
+        # S^0 is two points, which the connected group fixes; the tangent
+        # rank there is 0 == dim - 1 and must not read as transitive
+        x = np.zeros((3, 3))
+        x[0, 1], x[1, 0] = 1 / np.sqrt(2), -1 / np.sqrt(2)
+        c = closure(x[None], x[None])
+        assert transitive_on(c, (2, 3)) is False
+        assert transitive_on(c, (0, 2)) is True
+
     def test_non_invariant_window_rejected(self):
         c = closure(block_algebra(P((4,))), block_algebra(P((4,))))
         with pytest.raises(DomainError):

@@ -99,12 +99,13 @@ MAX_SPACE_DIMS = 2400
 # under cProfile.
 MAX_MONOMIALS = 15000
 # N that verify-lie may close.  On one core of a 2-core x86 host the slowest
-# closure measured at N = 32 was sixteen parts 2 against 3 29, 4.2 s; at
-# N = 40 twenty parts 2 against 3 37 took 23 s.  A seed that spans so(N)
-# runs no round (16 16 -- 32 closes in 0.1 s), but two large inputs whose
+# closure measured at N = 32 was sixteen parts 2 against 3 29, 2.2 s; at
+# N = 40 twenty parts 2 against 3 37 took 12 s.  A seed that spans so(N)
+# runs no round (16 16 -- 32 closes in 0.02 s), but two large inputs whose
 # first round falls short of so(N) bracket every unordered pair of them,
-# about N^8/2 flops.  The closure preallocates N(N-1)/2 x N^2 floats, 0.4 GB
-# at N = 100.
+# about N^8/4 flops on packed rows of N(N-1)/2 floats.  The closure
+# preallocates N(N-1)/2 x N(N-1)/2 floats, 0.2 GB at N = 100, and a bracket
+# round unpacks the generators G to |G| x N^2 floats, up to 0.4 GB there.
 MAX_LIE_N = 32
 # parts in one PARTS argument.  1000! has 2568 digits, under Python's
 # 4300-digit limit on int to str (1559! is over it); 1000 equal parts under

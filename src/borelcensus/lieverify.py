@@ -55,16 +55,25 @@ def block_algebra(p: Partition) -> np.ndarray:
     """Basis of the block algebra, (E_ab - E_ba)/sqrt(2) inside each block, shape (k, n, n)."""
     if p.min_part < 2:
         raise DomainError("block algebras need every part >= 2")
-    n = p.n
-    mats = []
-    for offset, size in zip((0, *p.prefix_sums()), p.parts):
-        for a in range(offset, offset + size):
-            for b in range(a + 1, offset + size):
-                x = np.zeros((n, n))
-                x[a, b] = 1.0 / np.sqrt(2.0)
-                x[b, a] = -1.0 / np.sqrt(2.0)
-                mats.append(x)
-    return np.array(mats)
+    # the pairs a < b inside one block, in block order, then a, then b
+    block = np.repeat(np.arange(len(p.parts)), p.parts)
+    i = np.arange(p.n)
+    a, b = np.nonzero((block[:, None] == block) & (i[:, None] < i))
+    k = np.arange(len(a))
+    mats = np.zeros((len(a), p.n, p.n))
+    mats[k, a, b] = 1.0 / np.sqrt(2.0)
+    mats[k, b, a] = -1.0 / np.sqrt(2.0)
+    return mats
+
+
+def _check_stack(b, what):
+    """Refuse anything but a real (k, n, n) array."""
+    square = isinstance(b, np.ndarray) and b.ndim == 3 and b.shape[1] == b.shape[2]
+    if not square or b.dtype.kind not in "iuf":
+        raise DomainError(
+            f"{what} must be a real (k, n, n) array, got {type(b).__name__} "
+            f"of shape {getattr(b, 'shape', None)}"
+        )
 
 
 def _check_skew(elements):
@@ -111,6 +120,19 @@ def _rank(mat):
     )
 
 
+def _pack(x, n, upper, lower):
+    """The rows sqrt(2) X[upper, lower] of the (k, n, n) matrices X in x."""
+    return np.sqrt(2.0) * np.take(x.reshape(len(x), -1), upper * n + lower, axis=1)
+
+
+def _unpack(rows, n, upper, lower):
+    """Skew matrices with rows at their (upper, lower) entries, shape (k, n, n)."""
+    x = np.zeros((len(rows), n, n))
+    x[:, upper, lower] = rows
+    x[:, lower, upper] = -rows
+    return x
+
+
 def _project_out(rows, basis):
     """Project rows twice out of span(basis); drop rows left below DEFAULT_TOL/10.
 
@@ -120,12 +142,16 @@ def _project_out(rows, basis):
     """
     dropped = 0.0
     for _ in range(2):
-        if len(basis):
+        if len(basis) == 1:
+            q = basis[0]
+            rows = rows - (rows @ q)[:, None] * q
+        elif len(basis):
             rows = rows - (rows @ basis.T) @ basis
         norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
         keep = norms >= DEFAULT_TOL / 10.0
-        dropped = max(dropped, float(np.max(norms, where=~keep, initial=0.0)))
-        rows, norms = rows[keep], norms[keep]
+        if not keep.all():
+            dropped = max(dropped, float(norms[~keep].max()))
+            rows, norms = rows[keep], norms[keep]
     return rows, norms, dropped
 
 
@@ -142,7 +168,8 @@ def _accept(basis, m, batch):
     kept = np.inf
     while len(rows):
         i = int(np.argmax(norms))
-        _check_band(norms[i : i + 1], DEFAULT_TOL, "closure residual")
+        if norms[i] <= DEFAULT_TOL:  # rows below DEFAULT_TOL/10 are gone already
+            _check_band(norms[i : i + 1], DEFAULT_TOL, "closure residual")
         if m == basis.shape[0]:
             raise NumericalError(
                 f"bracket closure exceeds so(n), dimension {m}: residual {norms[i]:.3e} "
@@ -169,14 +196,19 @@ def closure(b1: np.ndarray, b2: np.ndarray) -> LieClosure:
     of G once.  Rounds stop once the basis spans so(n).
     A residual inside [DEFAULT_TOL/10, DEFAULT_TOL] raises
     IndeterminateError.
+
+    The kernel works in packed coordinates: a skew X is the row of
+    sqrt(2) X[a, c] over a < c, n(n-1)/2 floats.  That map keeps the
+    Frobenius product, so residuals and margins mean what they would on
+    full matrices.  A slice of brackets is one matrix product: f frontier
+    elements stacked as an (f n, n) matrix times s elements of G side by
+    side as an (n, s n) one gives every product XY.  Since YX = (XY)^T
+    for skew X and Y, the packed row of [X, Y] is sqrt(2) (XY[a, c] -
+    XY[c, a]) over a < c.  The basis is unpacked to (m, n, n) matrices,
+    exactly skew, at the end.
     """
-    for which, b in (("first", b1), ("second", b2)):
-        square = isinstance(b, np.ndarray) and b.ndim == 3 and b.shape[1] == b.shape[2]
-        if not square or b.dtype.kind not in "iuf":
-            raise DomainError(
-                f"the {which} basis must be a real (k, n, n) array, got {type(b).__name__} "
-                f"of shape {getattr(b, 'shape', None)}"
-            )
+    _check_stack(b1, "the first basis")
+    _check_stack(b2, "the second basis")
     n = b1.shape[1]
     if b2.shape[1] != n:
         raise DomainError(f"bases live in different dimensions: {n} vs {b2.shape[1]}")
@@ -186,34 +218,45 @@ def closure(b1: np.ndarray, b2: np.ndarray) -> LieClosure:
         _check_skew(b)
         _check_orthonormal(b.reshape(-1, n * n))
     big, small = (b2, b1) if len(b2) > len(b1) else (b1, b2)
+    upper, lower = np.triu_indices(n, 1)
     full = n * (n - 1) // 2
-    basis = np.zeros((full, n * n))
+    basis = np.zeros((full, full))
     m = len(big)  # at most full, since big is orthonormal
-    basis[:m] = big.reshape(m, n * n)
+    basis[:m] = _pack(big, n, upper, lower)
     # a seed element joins with its norm as its residual
     kept = float(np.sqrt(np.einsum("ij,ij->i", basis[:m], basis[:m]).min()))
-    m, k, dropped = _accept(basis, m, small.reshape(-1, n * n))
+    m, k, dropped = _accept(basis, m, _pack(small, n, upper, lower))
     kept = min(kept, k)
-    g = basis[:m].reshape(m, n, n)
     lo, rounds = 0, 0
     while lo < m < full:
         rounds += 1
         hi = m
         step = max(1, _BATCH_FLOATS // ((hi - lo) * n * n))
-        for start in range(0, len(g), step):
+        # packed rows unpack to sqrt(2) X, so the products come out packed-scaled
+        frontier = _unpack(basis[lo:hi], n, upper, lower)
+        if not lo:
+            # the first frontier is G; side by side, [G_0 | G_1 | ...], shape (n, |G| n)
+            size_g = hi
+            g = frontier.transpose(1, 0, 2).reshape(n, -1) / np.sqrt(2.0)
+        for start in range(0, size_g, step):
             # [X, Y] = -[Y, X]: the first round, whose frontier is G, pairs
             # element i only with generators j <= i; later frontiers lie past G
-            frontier = basis[max(lo, start) : hi].reshape(-1, 1, n, n)
-            xy = frontier @ g[start : start + step]
-            # for skew x and y, yx is the transpose of xy
-            brackets = xy - np.swapaxes(xy, -1, -2)
-            m, k, d = _accept(basis, m, brackets.reshape(-1, n * n))
+            f = frontier[max(lo, start) - lo :]
+            xy = f.reshape(-1, n) @ g[:, start * n : (start + step) * n]
+            # row i of xy is X_i [Y_j | Y_j+1 | ...], so entry (a, c) of X_i Y_j
+            # sits at a w + j n + c, w the slice's width
+            w = xy.shape[1]
+            at = np.arange(0, w, n)[:, None]
+            xy = xy.reshape(len(f), -1)
+            brackets = np.take(xy, (upper * w + lower + at).ravel(), axis=1)
+            brackets -= np.take(xy, (lower * w + upper + at).ravel(), axis=1)
+            m, k, d = _accept(basis, m, brackets.reshape(-1, full))
             kept, dropped = min(kept, k), max(dropped, d)
             if m == full:
                 break
         lo = hi
     return LieClosure(
-        basis=basis[:m].reshape(m, n, n).copy(),
+        basis=_unpack(basis[:m] / np.sqrt(2.0), n, upper, lower),
         dimension=m,
         iterations=rounds,
         residual_kept_min=kept,
@@ -229,6 +272,8 @@ def transitive_on(c: LieClosure, window) -> bool:
     window's first standard basis vector and at a seeded random unit
     vector; the two verdicts must agree.  A one-coordinate window is never
     transitive: its sphere is two points, which a connected group fixes.
+    The closure's basis must be a real (k, n, n) array, else DomainError;
+    with k = 0, the zero algebra, no sphere is transitive.
     """
     try:
         lo, hi = window
@@ -238,30 +283,32 @@ def transitive_on(c: LieClosure, window) -> bool:
         raise DomainError(f"window must be a pair of integers (lo, hi), got {window!r}")
     lo, hi = int(lo), int(hi)
     elements = c.basis
+    _check_stack(elements, "the closure's basis")
     n = elements.shape[1]
     if not (0 <= lo < hi <= n):
         raise DomainError(f"window {window} does not fit in dimension {n}")
-    outside = np.r_[0:lo, hi:n].astype(int)
-    if outside.size:
-        spill = max(
-            np.max(np.abs(elements[:, outside, :][:, :, lo:hi])),
-            np.max(np.abs(elements[:, lo:hi, :][:, :, outside])),
-        )
-        if spill > DEFAULT_TOL:
-            raise DomainError(f"window {window} is not invariant (spill {spill:.2e})")
+    # the window is invariant when no element maps it out of itself or its
+    # complement into it: four slabs, two of them empty at either end
+    slabs = (
+        elements[:, :lo, lo:hi],
+        elements[:, hi:, lo:hi],
+        elements[:, lo:hi, :lo],
+        elements[:, lo:hi, hi:],
+    )
+    spill = max(float(np.max(np.abs(s), initial=0.0)) for s in slabs)
+    if spill > DEFAULT_TOL:
+        raise DomainError(f"window {window} is not invariant (spill {spill:.2e})")
 
     dim = hi - lo
     if dim == 1:
         return False
-    x1 = np.zeros(n)
-    x1[lo] = 1.0
     rng = np.random.default_rng(_PROBE_SEED)
     v = rng.standard_normal(dim)
-    x2 = np.zeros(n)
-    x2[lo:hi] = v / np.linalg.norm(v)
-
-    # elements @ x holds one row of velocities per basis element
-    verdicts = [_rank((elements @ x)[:, lo:hi])[0] == dim - 1 for x in (x1, x2)]
+    # one row of velocities per basis element, at the window's first
+    # coordinate vector and at v; the zero algebra has none, rank 0 < dim - 1
+    block = elements[:, lo:hi, lo:hi]
+    probes = (block[:, :, 0], block @ (v / np.linalg.norm(v)))
+    verdicts = [_rank(x)[0] == dim - 1 for x in probes]
     if verdicts[0] != verdicts[1]:
         raise ProbeDisagreementError(
             f"tangent-rank probes disagree on window {window}: {verdicts}"

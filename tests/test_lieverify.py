@@ -21,7 +21,7 @@ from borelcensus import (
     transitive_on,
 )
 from borelcensus import lieverify
-from borelcensus.lieverify import DEFAULT_TOL, _accept, swap_matrix
+from borelcensus.lieverify import DEFAULT_TOL, LieClosure, _accept, swap_matrix
 
 P = Partition
 
@@ -48,6 +48,22 @@ class TestBlockAlgebra:
         # no generator mixes the two blocks
         assert np.max(np.abs(b[:, :2, 2:])) == 0
         assert np.max(np.abs(b[:, 2:, :2])) == 0
+
+    @pytest.mark.parametrize("parts", [(2, 3, 3), (2, 2, 4)])
+    def test_matches_per_element_reference(self, parts):
+        # one matrix per pair a < b of a block, built one at a time
+        p = P(parts)
+        mats = []
+        for offset, size in zip((0, *p.prefix_sums()), p.parts):
+            for a in range(offset, offset + size):
+                for b in range(a + 1, offset + size):
+                    x = np.zeros((p.n, p.n))
+                    x[a, b] = 1.0 / np.sqrt(2.0)
+                    x[b, a] = -1.0 / np.sqrt(2.0)
+                    mats.append(x)
+        got = block_algebra(p)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, np.array(mats))
 
     def test_block_placement(self):
         # blocks start at the prefix sums 0, 2, 5 of {2,3,3}
@@ -144,11 +160,15 @@ class TestClosure:
 
         def spy(basis, m, batch):
             calls.append((m, len(batch)))
+            widths.add((basis.shape, batch.shape[1]))
             return _accept(basis, m, batch)
 
+        widths = set()
         monkeypatch.setattr(lieverify, "_accept", spy)
         c = closure(block_algebra(p1), block_algebra(p2))
         assert c.dimension == decompose(p1, p2).lie_dimension == 154 < 190
+        # every row is a packed skew matrix, its 20 * 19 / 2 upper entries
+        assert widths == {((190, 190), 190)}
         # G: the two block algebras (73 and 109 elements) less the algebra of
         # their common refinement, which both contain
         size_g = 73 + 109 - len(block_algebra(P((2, 3, 6, 9))))
@@ -159,6 +179,15 @@ class TestClosure:
         rows = [r for _m, r in calls[1 : 1 + size_g]]
         assert rows == list(range(size_g, 0, -1))
         assert sum(rows) == size_g * (size_g + 1) // 2
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_basis_exactly_skew_and_orthonormal(self, n):
+        for p1, p2 in combinations(enumerate_partitions(n, 2), 2):
+            c = closure(block_algebra(p1), block_algebra(p2))
+            assert c.basis.shape == (c.dimension, n, n)
+            assert not np.any(c.basis + np.transpose(c.basis, (0, 2, 1))), (p1, p2)
+            flat = c.basis.reshape(c.dimension, -1)
+            assert np.max(np.abs(flat @ flat.T - np.eye(c.dimension))) <= 1e-12, (p1, p2)
 
     def test_seed_spanning_so_n_runs_no_round(self):
         c = closure(block_algebra(P((4,))), block_algebra(P((2, 2))))
@@ -336,6 +365,58 @@ class TestTransitivity:
         )
         with pytest.raises(IndeterminateError):
             transitive_on(c, (0, 4))
+
+    @staticmethod
+    def _closure_of(basis):
+        return LieClosure(
+            basis=basis,
+            dimension=len(basis),
+            iterations=0,
+            residual_kept_min=1.0,
+            residual_dropped_max=0.0,
+        )
+
+    @pytest.mark.parametrize("window", [(0, 2), (1, 3), (0, 4), (2, 3)])
+    def test_zero_algebra_is_never_transitive(self, window):
+        # the zero algebra fixes every point, and preserves every window
+        assert transitive_on(self._closure_of(np.zeros((0, 4, 4))), window) is False
+
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            np.zeros((4, 4)),
+            np.zeros((1, 4, 3)),
+            np.zeros((1, 4, 4), dtype=complex),
+            [np.zeros((4, 4))],
+        ],
+        ids=["2d", "non-square", "complex", "list"],
+    )
+    def test_rejects_malformed_basis(self, basis):
+        with pytest.raises(DomainError, match="must be a real \\(k, n, n\\) array"):
+            transitive_on(self._closure_of(basis), (0, 2))
+
+    @pytest.mark.parametrize("window", [(0, 2), (2, 5), (5, 8)])
+    def test_spill_in_each_off_window_slab(self, window):
+        # blocks {0,1}, {2,3,4}, {5,6,7}: every block is an invariant window
+        lo, hi = window
+        basis = block_algebra(P((2, 3, 3)))
+        assert transitive_on(self._closure_of(basis), window) is True
+        # one entry in each slab between the window and the coordinates
+        # before or after it; a window at either end has two such slabs
+        before, inside, after = range(lo), range(lo, hi), range(hi, 8)
+        pairs = [(before, inside), (after, inside), (inside, before), (inside, after)]
+        slabs = [(rows[0], cols[0]) for rows, cols in pairs if len(rows) and len(cols)]
+        assert len(slabs) == (2 if lo == 0 or hi == 8 else 4)
+        for r, c in slabs:
+            for eps, spills in ((1e-6, True), (1e-12, False)):
+                perturbed = basis.copy()
+                perturbed[-1, r, c] = eps
+                closed = self._closure_of(perturbed)
+                if spills:
+                    with pytest.raises(DomainError, match="not invariant"):
+                        transitive_on(closed, window)
+                else:
+                    assert transitive_on(closed, window) is True
 
     def test_matches_exact_predicate_small_sweep(self):
         for n in (6, 7, 8):

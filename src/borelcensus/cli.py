@@ -9,15 +9,15 @@ budget or an unwritable --output file, 2 usage error, 3 indeterminate
 numerical result, 4 a failed internal consistency check.
 
 Input budgets: `count N` takes N <= MAX_COUNT_N, and `solutions N` the
-same bound on the base M it counts P(M) for; `census N` enumerates
-P(N) partitions, `special N` P(M) base partitions, and `list N` P(N),
-P(N;1), Q(N) or Q(N;1) by --distinct and by whether --min-part is at
-least 2 (an upper bound for --min-part above 2).  Each refuses an input
-whose count exceeds MAX_ENUMERATED.  `verify-inv` refuses a pair whose
-two fixed spaces have more than MAX_SPACE_DIMS dimensions together, or
-whose refinement pieces have more than MAX_MONOMIALS monomials of degree
-<= D/2, and `verify-lie` a pair of partitions of N > MAX_LIE_N, before it
-builds any matrix.  Every PARTS argument takes at most MAX_PARTS parts:
+same bound on the base M it counts P(M) for; `census N` and `table --max
+N` take 1 <= N <= MAX_CENSUS_N.  `special N` enumerates P(M) base
+partitions, and `list N` P(N), P(N;1), Q(N) or Q(N;1) by --distinct and
+by whether --min-part is at least 2 (an upper bound for --min-part above
+2); each refuses an input whose count exceeds MAX_ENUMERATED.
+`verify-inv` refuses a pair whose two fixed spaces have more than
+MAX_SPACE_DIMS dimensions together, or whose refinement pieces have more
+than MAX_MONOMIALS monomials of degree <= D/2, and `verify-lie` a pair of
+partitions of N > MAX_LIE_N, before it builds any matrix.  Every PARTS argument takes at most MAX_PARTS parts:
 the Weyl group order of 1559 equal parts, like the orbit length of 1559
 distinct ones, has more digits than Python prints, and `nodal`'s output
 grows with the square of the part count.
@@ -82,7 +82,11 @@ commands:
 
 
 MAX_COUNT_N = 10**5
-MAX_ENUMERATED = 10**6  # partitions that list, census and special may enumerate
+MAX_ENUMERATED = 10**6  # partitions that list and special may enumerate
+# N that census and table --max take.  On a 2-core x86 host `census 1000`
+# and `table --max 1000` each take 0.3-0.4 s as a process, start included;
+# the census's O(N^2) recount is about 0.1 s of it.
+MAX_CENSUS_N = 1000
 # dim U + dim W that verify-inv may build.  Twenty-two parts 2 against eleven
 # parts 4 at degree 8 (dims 2046 + 297) took 6.0 s and 0.25 GB on a 2-core x86
 # host, 5.4 s of it (cProfile) in the float SVD that reports the margins.
@@ -292,7 +296,8 @@ def _cmd_orbit(tokens):
 
 def _cmd_census(tokens):
     n = _one_int(tokens)
-    _check_enumeration_budget(f"census {n}", n, count_p, "P({})")
+    if not 1 <= n <= MAX_CENSUS_N:
+        raise DomainError(f"census needs 1 <= N <= {MAX_CENSUS_N}, got {n}")
     c = class_census(n)
     plain = [
         f"flag classes of {n}: {c.total} total, {c.trivial_weyl} trivial Weyl, "
@@ -498,8 +503,8 @@ def _cmd_table(tokens):
     _reject_leftover_flags(tokens)
     if tokens:
         raise UsageError("table takes no positional arguments")
-    if not 1 <= max_n <= 1000:
-        raise DomainError(f"table needs 1 <= max <= 1000, got {max_n}")
+    if not 1 <= max_n <= MAX_CENSUS_N:
+        raise DomainError(f"table needs 1 <= max <= {MAX_CENSUS_N}, got {max_n}")
     rows = [partition_counts(n) for n in range(1, max_n + 1)]
     errata = table_errata(max_n)
     flagged = {e.n for e in errata}

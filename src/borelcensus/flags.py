@@ -20,7 +20,7 @@ from dataclasses import astuple, dataclass
 from itertools import combinations
 
 from .errors import DomainError, InternalInvariantError
-from .partitions import Partition, _tuples, partition_counts
+from .partitions import Partition, partition_counts
 
 __all__ = [
     "InvolutionSpec",
@@ -185,23 +185,41 @@ def _signed_factors(p, rho):
     return list(zip(factors, rho.deltas))
 
 
-def class_census(n: int) -> ClassCensus:
-    """Census of flag classes of n, recounted by enumeration as a safety net.
+def _euler_recount(n):
+    """P(n), Q(n), P(n;1) and Q(n;1) as coefficients of Euler's products, in O(n^2).
 
-    The six closed-form counts come from one `partition_counts` call.  Four
-    counting passes of the enumerator recount P(n), Q(n), P(n;1) and
-    Q(n;1) (all parts, distinct parts, and both with parts >= 2); all six
+    p[m] and q[m] count the partitions of m into the parts added so far,
+    the coefficients of prod 1/(1 - x^k) and prod (1 + x^k).  Adding part
+    k is a coin-change step: p may use it again, so m runs upwards; q uses
+    it at most once, so m runs downwards.  Parts 2..n come first, which
+    leaves the parts >= 2 counts at m = n, then part 1.
+    """
+    p = [1] + [0] * n
+    q = p[:]
+    for k in (*range(2, n + 1), 1):
+        if k == 1:
+            p_ge2, q_ge2 = p[n], q[n]
+        for m in range(k, n + 1):
+            p[m] += p[m - k]
+        for m in range(n, k - 1, -1):
+            q[m] += q[m - k]
+    return p[n], q[n], p_ge2, q_ge2
+
+
+def class_census(n: int) -> ClassCensus:
+    """Census of flag classes of n, recounted from Euler's products as a safety net.
+
+    The six closed-form counts come from one `partition_counts` call, by
+    the pentagonal recurrences.  A coin-change count of the coefficients
+    of prod 1/(1 - x^k) and prod (1 + x^k), for k >= 1 and k >= 2,
+    recounts P(n), Q(n), P(n;1) and Q(n;1) independently of them; all six
     columns, the differences R = P - Q included, are compared with the
     closed forms, and a mismatch in any of them raises
-    InternalInvariantError.  The passes make this O(P(n)), so the census
-    is a desk-scale operation.
+    InternalInvariantError.  The recount is O(n^2) additions of big
+    integers.
     """
     c = partition_counts(n)
-    p, q, p2, q2 = (
-        sum(1 for _ in _tuples(n, floor, distinct))
-        for floor in (1, 2)
-        for distinct in (False, True)
-    )
+    p, q, p2, q2 = _euler_recount(n)
     expected = astuple(c)[1:]
     got = (p, q, p - q, p2, q2, p2 - q2)
     if expected != got:

@@ -1,13 +1,15 @@
 """Structure of the group generated by two block subgroups.
 
 Two canonical partitions of n are swept in parallel over their prefix
-sums.  Where both next parts agree the group keeps that block factor
-(agreement segment); elsewhere a minimal window opens and closes at the
-first coinciding partial sum, and on the window the generated group is the
-full orthogonal group of the window subspace.  The pair is jointly
-transitive on the sphere exactly when the whole of [0, n) is one segment
-(a window, or the agreement of {n} with itself), i.e. when the partitions
-share no proper common prefix sum.
+sums, one cut at a time: from an offset both sides reach, the next cut is
+the first partial sum that both reach again.  A segment that took one
+block from each side is an agreement, and the group keeps that block
+factor; any other segment is a minimal window, on which the generated
+group is the full orthogonal group of the window subspace.  The pair is
+jointly transitive on the sphere exactly when the first cut is n, so that
+the whole of [0, n) is one segment (a window, or the agreement of {n}
+with itself), i.e. when the partitions share no proper common prefix sum;
+is_transitive_pair decides from that first cut alone.
 """
 
 from __future__ import annotations
@@ -151,44 +153,50 @@ def has_common_subpartition(p1: Partition, p2: Partition):
     return min(common) if common else None
 
 
-def decompose(p1: Partition, p2: Partition) -> PairDecomposition:
-    """Alternating agreement/window decomposition (minimal windows)."""
+def _blocks(p1: Partition, p2: Partition):
+    """n and both sides' parts; refuses different n, then a part of 1 on either side."""
     n = _check_pair(p1, p2)
     a, b = p1.parts, p2.parts
     if a[0] < 2 or b[0] < 2:
         raise DomainError("every part must be >= 2 on both sides")
-    segments = []
-    i = j = 0
-    pos = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            segments.append(Agreement(start=pos, part=a[i]))
-            pos += a[i]
+    return n, a, b
+
+
+def _cut(a, b, i, j, pos):
+    """The first partial sum after pos that both sides reach, and the next blocks.
+
+    Blocks a[i] and b[j] both start at pos.  Returns (cut, i', j'): a[i:i']
+    and b[j:j'] fill [pos, cut) exactly.  The sides meet at n at the latest.
+    """
+    ta, tb = pos + a[i], pos + b[j]
+    i += 1
+    j += 1
+    while ta != tb:
+        if ta < tb:
+            ta += a[i]
             i += 1
+        else:
+            tb += b[j]
             j += 1
-            continue
-        i0, j0 = i, j
-        ta, tb = pos + a[i], pos + b[j]
-        i += 1
-        j += 1
-        while ta != tb:  # re-coincides at n at the latest
-            if ta < tb:
-                ta += a[i]
-                i += 1
-            else:
-                tb += b[j]
-                j += 1
-        segments.append(
-            Window(
-                start=pos,
-                size=ta - pos,
-                h_parts=a[i0:i],
-                k_parts=b[j0:j],
-                h_first=i0 + 1,
-                k_first=j0 + 1,
-            )
-        )
-        pos = ta
+    return ta, i, j
+
+
+def decompose(p1: Partition, p2: Partition) -> PairDecomposition:
+    """Alternating agreement/window decomposition (minimal windows).
+
+    One segment per cut: an agreement when it took one block from each
+    side, otherwise a window.
+    """
+    n, a, b = _blocks(p1, p2)
+    segments = []
+    i = j = pos = 0
+    while pos < n:
+        cut, i1, j1 = _cut(a, b, i, j, pos)
+        if i1 - i == 1 == j1 - j:
+            segments.append(Agreement(pos, a[i]))
+        else:
+            segments.append(Window(pos, cut - pos, a[i:i1], b[j:j1], i + 1, j + 1))
+        i, j, pos = i1, j1, cut
     return PairDecomposition(n=n, segments=tuple(segments))
 
 
@@ -200,10 +208,12 @@ def generated_group(p1: Partition, p2: Partition) -> PairDecomposition:
 def is_transitive_pair(p1: Partition, p2: Partition) -> bool:
     """Whether the generated group is transitive on the sphere: one segment spans [0, n).
 
-    The decomposition decides; the absence of a common proper prefix sum
-    is an independent cross-check and must agree.
+    The first cut decides: the pair is transitive exactly when the sides
+    first meet at n.  The absence of a common proper prefix sum is an
+    independent cross-check and must agree.
     """
-    transitive = decompose(p1, p2).transitive_on_sphere
-    if transitive != (has_common_subpartition(p1, p2) is None):  # pragma: no cover
+    n, a, b = _blocks(p1, p2)
+    transitive = _cut(a, b, 0, 0, 0)[0] == n
+    if transitive != (has_common_subpartition(p1, p2) is None):
         raise InternalInvariantError(f"transitivity criteria disagree on {p1}, {p2}")
     return transitive

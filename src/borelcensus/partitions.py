@@ -3,9 +3,11 @@
 Counts are exact big integers: P(n) via the Euler pentagonal recurrence,
 Q(n) (distinct parts) from the P table by the same theorem, R(n) = P(n) -
 Q(n), and the parts>=2 variants P(n;1), Q(n;1), R(n;1) via the subtraction
-and alternating recurrences.  A direct enumerator backs everything as
-an independent oracle, and the Hardy-Littlewood leading terms give the
-asymptotic cross-check.
+and alternating recurrences.  A direct enumerator lists the partitions,
+and the tests use its lengths as an independent oracle for the counts;
+at run time flags.class_census recounts them by Euler's products
+instead.  The Hardy-Littlewood leading terms give the asymptotic
+cross-check.
 
 `Partition(...)` checks and sorts whatever it is given.  The one unchecked
 path is the private `_trusted`, which wraps a tuple that is already sorted

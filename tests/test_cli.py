@@ -24,6 +24,7 @@ from borelcensus import (
     PartitionCounts,
     SpecialFamily,
     count_p,
+    count_q_ge2,
     flags,
     pairs,
     verify_pair,
@@ -59,6 +60,8 @@ MESSAGES = {
     "weyl 2 -2": "parts must be positive integers, got -2",
     "list 4 --distinct --distinct": "option '--distinct' is repeated",
     "nodal 2 2 --delta 1 --delta 0": "option '--delta' is repeated",
+    "census 1001": "census needs 1 <= N <= 1000, got 1001",
+    "census 200000": "census needs 1 <= N <= 1000, got 200000",
 }
 
 
@@ -325,7 +328,7 @@ class TestExitCodes:
             ["verify-lie", "2", "2", "--", "3"],
             ["verify-lie", "1", "3", "--", "4"],
             ["verify-lie", "17", "16", "--", "33"],
-            ["census", "61"],
+            ["census", "1001"],
             ["list", "61"],
             ["special", "250"],
             ["count", "100001"],
@@ -381,10 +384,17 @@ class TestExitCodes:
         "argv", [["census", "200000"], ["list", "200000"], ["special", "800003"]]
     )
     def test_budgets_refuse_huge_n_at_once(self, argv):
-        # the counts are nondecreasing, so the budget check stops at the first N over it
+        # census checks a fixed bound; for list and special the counts are
+        # nondecreasing, so the budget check stops at the first N over it
         proc = run_module(*argv, timeout=10)
         assert proc.returncode == 1 and not proc.stdout
-        assert "P(61) = 1121505 is the first count over it" in proc.stderr
+        first_over = "P(61) = 1121505 is the first count over it"
+        assert MESSAGES.get(" ".join(argv), first_over) in proc.stderr
+
+    def test_census_budget_admits_its_bound(self):
+        result = run_json(["census", str(cli.MAX_CENSUS_N)])["result"]
+        assert result["total"] == str(count_p(cli.MAX_CENSUS_N))
+        assert result["trivial_weyl_ge2"] == str(count_q_ge2(cli.MAX_CENSUS_N))
 
     def test_solutions_budget_refuses_huge_n_at_once(self):
         # solutions counts P(M) for M about N/4; M = 1000000 is over MAX_COUNT_N
@@ -474,8 +484,9 @@ class TestExitCodes:
     "call,expected",
     [
         (lambda: verify_pair(Partition((4, 4)), Partition((2, 2, 2, 2)), 4), 1),
-        # is_transitive_pair keeps its own decomposition as a cross-check
-        (lambda: run(["pair", "4", "4", "--", "2", "2", "2", "2"]), 2),
+        # is_transitive_pair decides from the first cut and cross-checks
+        # against the common prefix sums, without a decomposition
+        (lambda: run(["pair", "4", "4", "--", "2", "2", "2", "2"]), 1),
         # the budget check plans the spaces before verify_pair builds them
         (lambda: run(["verify-inv", "4", "4", "--", "2", "2", "2", "2", "--degree", "4"]), 2),
         (lambda: run(["verify-lie", "4", "4", "--", "2", "2", "2", "2"]), 1),

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 from dataclasses import replace
 from itertools import permutations
 
@@ -23,7 +24,7 @@ from borelcensus import (
     phi_indices,
     weyl,
 )
-from borelcensus import flags
+from borelcensus import flags, partitions
 
 P = Partition
 
@@ -130,6 +131,25 @@ class TestCensus:
         monkeypatch.setattr(flags, "partition_counts", off_by_one)
         with pytest.raises(InternalInvariantError, match="recount mismatch at n=6"):
             class_census(6)
+
+    @pytest.mark.parametrize("distinct", [False, True])
+    @pytest.mark.parametrize("floor", [1, 2])
+    def test_euler_recount_matches_enumerator(self, floor, distinct):
+        column = 2 * (floor - 1) + distinct  # in the order P, Q, P(;1), Q(;1)
+        for n in range(1, 31):
+            enumerated = sum(1 for _ in partitions._tuples(n, floor, distinct))
+            assert flags._euler_recount(n)[column] == enumerated, n
+
+    def test_census_enumerates_nothing(self, monkeypatch):
+        real = partitions._tuples
+
+        def refuse(*args):
+            raise AssertionError(f"enumerated {args}")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("borelcensus") and getattr(module, "_tuples", None) is real:
+                monkeypatch.setattr(module, "_tuples", refuse)
+        assert class_census(45).total == count_p(45)
 
 
 class TestClassification:

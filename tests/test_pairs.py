@@ -9,6 +9,7 @@ import pytest
 from borelcensus import (
     Agreement,
     DomainError,
+    InternalInvariantError,
     InvolutionSpec,
     Partition,
     SignRep,
@@ -22,6 +23,7 @@ from borelcensus import (
     nodal_subspaces,
     weyl,
 )
+from borelcensus import pairs
 
 P = Partition
 
@@ -142,12 +144,28 @@ class TestTransitivity:
             is_transitive_pair(P((1, 3)), P((2, 2)))
 
     def test_three_criteria_agree(self):
-        for n in range(4, 13):
+        for n in range(4, 17):
             parts = enumerate_partitions(n, 2)
             for p1, p2 in combinations(parts, 2):
                 direct = has_common_subpartition(p1, p2) is None
                 structural = generated_group(p1, p2).factors == ((n, "window"),)
                 assert is_transitive_pair(p1, p2) == direct == structural
+
+    @pytest.mark.parametrize(
+        "parts,common", [(((3, 3), (2, 4)), 2), (((4, 4), (2, 2, 2, 2)), None)]
+    )
+    def test_criteria_disagreement_raises(self, monkeypatch, parts, common):
+        monkeypatch.setattr(pairs, "has_common_subpartition", lambda p1, p2: common)
+        with pytest.raises(InternalInvariantError, match="transitivity criteria disagree"):
+            is_transitive_pair(*map(P, parts))
+
+    def test_decides_without_decomposing(self, monkeypatch):
+        def refuse(p1, p2):
+            raise AssertionError(f"decomposed {p1}, {p2}")
+
+        monkeypatch.setattr(pairs, "decompose", refuse)
+        parts = enumerate_partitions(12, 2)
+        assert sum(is_transitive_pair(p1, p2) for p1, p2 in combinations(parts, 2)) > 0
 
 
 def random_partition(rng, n):

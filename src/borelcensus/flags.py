@@ -80,7 +80,8 @@ def _adjacent_swaps(parts, first=1):
     """One InvolutionSpec per adjacent equal pair of parts; parts[0] is block first.
 
     parts is sorted, so equal parts sit in runs and the adjacent swaps
-    generate each run's symmetric group.
+    generate each run's symmetric group; invverify's orbit walk relies on
+    this to reach every point of a Weyl orbit.
     """
     for t in range(len(parts) - 1):
         if parts[t] == parts[t + 1]:

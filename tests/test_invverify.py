@@ -3,8 +3,8 @@
 import dataclasses
 import inspect
 import sys
-from itertools import combinations, permutations, product
-from math import comb
+from itertools import combinations, pairwise, permutations, product
+from math import comb, factorial, prod
 
 import numpy as np
 import pytest
@@ -77,7 +77,10 @@ def _parity(perm):
 
 
 def _signed_orbit_by_permutations(alpha, groups):
-    """Reference orbit: every permutation of every group, m! per group, accumulated."""
+    """Reference orbit: every permutation of every group, m! per group, accumulated.
+
+    Points whose signed counts cancel are dropped, so a killed orbit is {}.
+    """
     group_moves = []
     for slots, delta in groups:
         entries = [alpha[s] for s in slots]
@@ -96,7 +99,17 @@ def _signed_orbit_by_permutations(alpha, groups):
             sign *= s
         beta = tuple(beta)
         orbit[beta] = orbit.get(beta, 0.0) + sign
-    return orbit
+    return {beta: w for beta, w in orbit.items() if w}
+
+
+def weighted_walk(alpha, groups):
+    """The walk along each group's adjacent swaps, weighted by |W|/|orbit|; {} when killed."""
+    swaps = [(a, b, -1 if delta else 1) for slots, delta in groups for a, b in pairwise(slots)]
+    orbit, killed = invverify._signed_orbit(alpha, swaps)
+    if killed:
+        return {}
+    order = prod(factorial(len(slots)) for slots, _ in groups)
+    return {beta: order // len(orbit) * sign for beta, sign in orbit.items()}
 
 
 def first_equal_pair(p):
@@ -278,31 +291,36 @@ class TestIntertwiningSpace:
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_orbit_matches_permutation_reference(self, m):
-        # every group of multiplicity m at weights <= 4 (degrees <= 8); the
-        # delta=1 orbit is only taken of canonical alphas, whose entries differ
+        # one group of multiplicity m at weights <= 4 (degrees <= 8), every
+        # alpha and both characters, so killed orbits are covered too
         for alpha in product(range(5), repeat=m):
             if sum(alpha) > 4:
                 continue
-            groups = [(tuple(range(m)), 0)]
-            assert invverify._signed_orbit(alpha, groups) == _signed_orbit_by_permutations(
-                alpha, groups
-            )
-            if len(set(alpha)) == m:
-                groups = [(tuple(range(m)), 1)]
-                assert invverify._signed_orbit(alpha, groups) == _signed_orbit_by_permutations(
-                    alpha, groups
-                )
+            for delta in (0, 1):
+                groups = [(tuple(range(m)), delta)]
+                assert weighted_walk(alpha, groups) == _signed_orbit_by_permutations(alpha, groups)
 
     def test_orbit_of_several_groups_matches_reference(self):
         p = P((2, 2, 2, 3, 3, 5))
-        for deltas in product((0, 1), repeat=2):
-            groups = invverify._value_groups(p, SignRep(deltas))
+        for d1, d2 in product((0, 1), repeat=2):
+            groups = [((0, 1, 2), d1), ((3, 4), d2), ((5,), 0)]
             for alpha in invverify._alphas(p.length, 4):
-                canon = invverify._canonical(alpha, groups)
-                if canon is not None:
-                    assert invverify._signed_orbit(
-                        canon, groups
-                    ) == _signed_orbit_by_permutations(canon, groups)
+                assert weighted_walk(alpha, groups) == _signed_orbit_by_permutations(alpha, groups)
+
+    @pytest.mark.parametrize("delta, dim", [(0, 12), (1, 0)])
+    def test_each_orbit_walked_once(self, monkeypatch, delta, dim):
+        # weight <= 4 over ten equal blocks: the partitions of 0..4, 12 orbits;
+        # with delta=1 every orbit is killed, and still walked only once
+        walks = []
+
+        def spy(alpha, swaps):
+            walks.append(alpha)
+            return real(alpha, swaps)
+
+        real = invverify._signed_orbit
+        monkeypatch.setattr(invverify, "_signed_orbit", spy)
+        assert intertwining_space(P((2,) * 10), SignRep((delta,)), 8).dim == dim
+        assert len(walks) == 12
 
     def test_ten_equal_blocks(self):
         # symmetric polynomials in ten block norms of weight <= 3: the

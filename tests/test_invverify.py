@@ -311,13 +311,12 @@ class TestIntertwiningSpace:
     def test_each_orbit_walked_once(self, monkeypatch, delta, dim):
         # weight <= 4 over ten equal blocks: the partitions of 0..4, 12 orbits;
         # with delta=1 every orbit is killed, and still walked only once
-        walks = []
+        walks, real = [], invverify._signed_orbit
 
         def spy(alpha, swaps):
             walks.append(alpha)
             return real(alpha, swaps)
 
-        real = invverify._signed_orbit
         monkeypatch.setattr(invverify, "_signed_orbit", spy)
         assert intertwining_space(P((2,) * 10), SignRep((delta,)), 8).dim == dim
         assert len(walks) == 12

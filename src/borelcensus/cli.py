@@ -40,7 +40,7 @@ from .flags import (
     orbit_length,
     weyl,
 )
-from .invverify import pair_space_dims, verify_pair
+from .invverify import _cuts, pair_space_dims, verify_pair
 from .lieverify import closure, block_algebra, transitive_on
 from .pairs import (
     Agreement,
@@ -445,7 +445,7 @@ def _cmd_verify_inv(tokens):
             f"verify-inv would build fixed spaces of dimensions {dims[0]} and {dims[1]}, "
             f"over the budget of {MAX_SPACE_DIMS} in total"
         )
-    pieces = len({*p1.prefix_sums(), *p2.prefix_sums()})
+    pieces = len(_cuts(p1, p2))
     monomials = comb(pieces + degree // 2, degree // 2)
     if monomials > MAX_MONOMIALS:
         raise DomainError(

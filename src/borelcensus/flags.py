@@ -81,7 +81,7 @@ def _adjacent_swaps(parts, first=1):
 
     parts is sorted, so equal parts sit in runs and the adjacent swaps
     generate each run's symmetric group; invverify's orbit walk relies on
-    this to reach every point of a Weyl orbit.
+    this to reach every point of a Weyl orbit and to know its largest one.
     """
     for t in range(len(parts) - 1):
         if parts[t] == parts[t + 1]:

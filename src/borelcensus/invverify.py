@@ -7,8 +7,8 @@ This module builds those spaces, the signed (intertwining) variants on
 which the Weyl group acts by a sign character, and the single-swap
 antisymmetric spaces the independence argument actually uses, then checks
 that spaces attached to different partitions meet only in zero.
-A signed space sums each Weyl orbit of exponent vectors, walked along the
-adjacent block swaps that generate the Weyl group.
+A signed space sums each Weyl orbit of exponent vectors, walked from its
+largest point along the adjacent block swaps that generate the Weyl group.
 The blocks are disjoint, so a block-norm monomial expands block by block:
 each coordinate monomial concatenates one term of every q_j^alpha_j, with
 the product of their multinomial coefficients.
@@ -17,11 +17,12 @@ verify_pair decides exactly, without expanding to coordinates.  The cut
 points of both partitions split [0, n) into refinement pieces; every block
 norm of either partition is a sum of the piece sums s_k, and the s_k are
 algebraically independent, so both spaces embed injectively in
-Q[s_1..s_r] with integer coefficients.  Every basis element is homogeneous,
-so the intersection splits by weight, and each weight's rank is taken
-modulo a 61-bit prime: full rank there certifies full rank over Q, and a
-deficit is confirmed by elimination over the rationals before it is
-reported.  A float SVD of the same rows only reports the margins.
+Q[s_1..s_r] with integer coefficients; a coordinate is the finest piece,
+so one builder serves both.  Every basis element is homogeneous, so the
+intersection splits by weight, and each weight's rank is taken modulo a
+61-bit prime: full rank there certifies full rank over Q, and a deficit is
+confirmed by elimination over the rationals before it is reported.  A
+float SVD of the same rows only reports the margins.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from math import comb, factorial
 import numpy as np
 
 from .errors import DomainError, InternalInvariantError, NumericalError
-from .flags import InvolutionSpec, SignRep, _check_swap, _signed_factors, weyl
+from .flags import InvolutionSpec, SignRep, _adjacent_swaps, _check_swap, _signed_factors, weyl
 from .lieverify import _rank
 from .pairs import decompose
 from .partitions import Partition
@@ -102,11 +103,11 @@ def _check_parts(p):
 
 
 @cache
-def _block_power(size, k, step):
+def _block_power(size, k):
     """Terms of (y_1 + ... + y_size)^k as (block-local exponents, coefficient).
 
-    Each y_i is a variable raised to the power step: 2 for the squared
-    coordinates of a block norm, 1 for refinement piece sums.
+    Each y_i is the square of a variable: a coordinate of a block, or the
+    root of a refinement piece's sum of squares.
     """
     terms = []
     for b in _alphas(size - 1, k):
@@ -114,18 +115,18 @@ def _block_power(size, k, step):
         coeff = factorial(k)
         for v in beta:
             coeff //= factorial(v)
-        terms.append((tuple(step * v for v in beta), coeff))
+        terms.append((tuple(2 * v for v in beta), coeff))
     return tuple(terms)
 
 
-def _norm_monomial(alpha, sizes, step=2):
-    """prod_j (sum of block j's sizes[j] variables)^alpha_j, block by block.
+def _norm_monomial(alpha, sizes):
+    """prod_j (sum of squares of block j's sizes[j] variables)^alpha_j, block by block.
 
-    With the default step the variables are the squared coordinates, so
-    this is q^alpha in coordinates; one term per block combination.
+    With sizes = p.parts the variables are the coordinates, so this is
+    q^alpha in coordinates; one term per block combination.
     """
     poly = {}
-    for combo in product(*(_block_power(size, k, step) for size, k in zip(sizes, alpha))):
+    for combo in product(*(_block_power(size, k) for size, k in zip(sizes, alpha))):
         e, c = (), 1
         for block_e, block_c in combo:
             e += block_e
@@ -155,31 +156,27 @@ def invariant_space(p: Partition, d: int) -> PolySubspace:
     """
     _check_parts(p)
     _check_degree(d)
-    basis = tuple(_norm_monomial(a, p.parts) for a in _alphas(p.length, d // 2))
-    return PolySubspace(n=p.n, degree_cap=d, basis=basis)
+    return PolySubspace(n=p.n, degree_cap=d, basis=tuple(_side_basis(p.parts, None, d)))
 
 
 def _signed_orbit(alpha, swaps):
     """Orbit of alpha along the swaps (a, b, sign), each point with its path's sign.
 
     A swap exchanges entries a and b; the sign of a point is the product
-    of the signs of the swaps on a path from alpha to it.  Returns
-    (orbit, killed): killed is set when a swap of sign -1 meets two equal
-    entries, so an element of sign -1 fixes a point and the orbit's signed
-    sum is 0.
+    of the signs of the swaps on a path from alpha to it, well defined
+    when no swap of sign -1 meets two equal entries.
     """
-    orbit, stack, killed = {alpha: 1}, [alpha], False
+    orbit, stack = {alpha: 1}, [alpha]
     while stack:
         beta = stack.pop()
         for a, b, sign in swaps:
             if beta[a] == beta[b]:
-                killed = killed or sign < 0
                 continue
             gamma = (*beta[:a], beta[b], *beta[a + 1 : b], beta[a], *beta[b + 1 :])
             if gamma not in orbit:
                 orbit[gamma] = sign * orbit[beta]
                 stack.append(gamma)
-    return orbit, killed
+    return orbit
 
 
 def intertwining_space(p: Partition, rho: SignRep, d: int) -> PolySubspace:
@@ -189,10 +186,11 @@ def intertwining_space(p: Partition, rho: SignRep, d: int) -> PolySubspace:
     antisymmetrized over each delta=1 factor (the full factor's symmetric
     group, so a delta=1 factor of multiplicity m contributes nothing below
     weighted degree m(m-1)).  Each orbit of exponent vectors is walked
-    once along the Weyl group's adjacent swaps, from its lexicographically
-    largest point, which _alphas yields first.  Its point beta enters the
-    sum with weight |W|/|orbit| times the sign of the swaps reaching it:
-    the signed count of the Weyl elements that map alpha to beta.
+    once along the Weyl group's adjacent swaps, from its largest point
+    (lexicographically); one whose largest point a swap of sign -1 fixes
+    sums to 0 and is not walked.  Its point beta enters the sum with weight
+    |W|/|orbit| times the sign of the swaps reaching it: the signed count
+    of the Weyl elements that map alpha to beta.
     """
     _check_parts(p)
     _check_degree(d)
@@ -201,14 +199,11 @@ def intertwining_space(p: Partition, rho: SignRep, d: int) -> PolySubspace:
     swaps = [
         (s.block_a - 1, s.block_b - 1, -1 if deltas[s.block_size] else 1) for s in w.involutions
     ]
-    basis, seen = [], set()
+    basis = []
     for alpha in _alphas(p.length, d // 2):
-        if alpha in seen:
+        if any(alpha[a] < alpha[b] or alpha[a] == alpha[b] and s < 0 for a, b, s in swaps):
             continue
-        orbit, killed = _signed_orbit(alpha, swaps)
-        seen.update(orbit)
-        if killed:
-            continue
+        orbit = _signed_orbit(alpha, swaps)
         scale = w.order // len(orbit)
         poly = {}
         for beta, sign in orbit.items():
@@ -229,27 +224,31 @@ def swap_antisymmetric_space(p: Partition, inv: InvolutionSpec, d: int) -> PolyS
     _check_parts(p)
     _check_degree(d)
     _check_swap(p, inv)
-    basis = _swap_basis(p.length, inv, d, lambda alpha: _norm_monomial(alpha, p.parts))
-    return PolySubspace(n=p.n, degree_cap=d, basis=tuple(basis))
+    return PolySubspace(n=p.n, degree_cap=d, basis=tuple(_side_basis(p.parts, inv, d)))
 
 
-# Kept apart from _signed_orbit: a swap routed through it made verify_pair about 1.2x
-# slower (127 benchmark pairs, best of 7: 0.21 s against 0.17 s, 2-core x86-64).
-def _swap_basis(length, swap, d, expand):
-    """q^alpha - q^alpha' for each alpha with a larger entry on swap's first block.
+# Kept apart from _signed_orbit: a swap routed through the walk made verify_pair 1.3-1.6x
+# slower (127 benchmark pairs, best of 15, five alternating rounds, 2-core x86-64).
+def _side_basis(sizes, swap, d):
+    """Every block-norm monomial q^alpha, or q^alpha - q^alpha' with a swap.
 
-    alpha holds x > y on the two swapped blocks and any rest of weight
-    <= w - x - y on the others; alpha' exchanges x and y.  expand writes a
-    block-norm monomial in the caller's variables.
+    Block j sums the squares of sizes[j] variables: its coordinates when
+    sizes is p.parts, its refinement pieces for verify_pair, of which a
+    coordinate is the finest.  With a swap, alpha holds x > y on the two
+    swapped blocks and any rest of weight <= w - x - y on the others, and
+    alpha' exchanges x and y.
     """
-    a, b, w = swap.block_a - 1, swap.block_b - 1, d // 2
+    length, w = len(sizes), d // 2
+    if swap is None:
+        return [_norm_monomial(alpha, sizes) for alpha in _alphas(length, w)]
+    a, b = swap.block_a - 1, swap.block_b - 1
     basis = []
     for x in range(1, w + 1):
         for y in range(min(x, w - x + 1)):
             for rest in _alphas(length - 2, w - x - y):
                 head, mid, tail = rest[:a], rest[a : b - 1], rest[b - 1 :]
-                poly = expand((*head, x, *mid, y, *tail))
-                for e, val in expand((*head, y, *mid, x, *tail)).items():
+                poly = _norm_monomial((*head, x, *mid, y, *tail), sizes)
+                for e, val in _norm_monomial((*head, y, *mid, x, *tail), sizes).items():
                     poly[e] = poly.get(e, 0) - val
                 basis.append(poly)
     return basis
@@ -353,18 +352,17 @@ def _sparse_rank(rows, prime=None):
     return len(pivots)
 
 
+def _cuts(p1, p2):
+    """The cut points of both partitions, which end the refinement pieces."""
+    return sorted({*p1.prefix_sums(), *p2.prefix_sums()})
+
+
 def _refined_basis(p, swap, d, cuts):
     """A side's basis in the refinement piece sums: swap-antisymmetric, or all of them."""
     # the block [start, end) holds the pieces ending at the cuts in (start, end]
     bounds = (0, *p.prefix_sums())
     sizes = [bisect_right(cuts, e) - bisect_right(cuts, s) for s, e in zip(bounds, bounds[1:])]
-
-    def expand(alpha):
-        return _norm_monomial(alpha, sizes, step=1)
-
-    if swap is None:
-        return [expand(alpha) for alpha in _alphas(p.length, d // 2)]
-    return _swap_basis(p.length, swap, d, expand)
+    return _side_basis(sizes, swap, d)
 
 
 def _refined_intersection(p1, swap1, p2, swap2, d):
@@ -373,7 +371,7 @@ def _refined_intersection(p1, swap1, p2, swap2, d):
     Returns (dims, intersection, smallest kept, largest dropped singular
     value).  A side with swap None spans every block-norm monomial.
     """
-    cuts = sorted({*p1.prefix_sums(), *p2.prefix_sums()})
+    cuts = _cuts(p1, p2)
     sides = (_refined_basis(p1, swap1, d, cuts), _refined_basis(p2, swap2, d, cuts))
     by_weight = {}
     for k, basis in enumerate(sides):
@@ -432,7 +430,7 @@ def _plan(p1, p2, degree):
     # the carrier's first window swap is the plan's swap
     swaps = tuple(
         next(filter(None, (w.swap(side) for w in dec.windows)), None)
-        or next(iter(weyl(p).involutions), None)
+        or next(_adjacent_swaps(p.parts), None)
         for side, p in ((1, p1), (2, p2))
     )
     return plan, swaps

@@ -4,6 +4,8 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -109,3 +111,12 @@ def test_count_records_stay_dict_backed():
     for record in records:
         fields = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
         assert vars(record) == fields
+
+
+def test_readme_library_example_runs():
+    # running the README's python blocks keeps the names they use current
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

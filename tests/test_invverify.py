@@ -3,8 +3,8 @@
 import dataclasses
 import inspect
 import sys
-from itertools import combinations, pairwise, permutations, product
-from math import comb, factorial, prod
+from itertools import combinations, permutations, product
+from math import comb
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ from borelcensus import (
     intertwining_space,
     invariant_dim_by_derivations,
     invariant_space,
+    nontrivial_factors,
     pair_space_dims,
     swap_antisymmetric_space,
     verify_pair,
@@ -102,14 +103,27 @@ def _signed_orbit_by_permutations(alpha, groups):
     return {beta: w for beta, w in orbit.items() if w}
 
 
-def weighted_walk(alpha, groups):
-    """The walk along each group's adjacent swaps, weighted by |W|/|orbit|; {} when killed."""
-    swaps = [(a, b, -1 if delta else 1) for slots, delta in groups for a, b in pairwise(slots)]
-    orbit, killed = invverify._signed_orbit(alpha, swaps)
-    if killed:
-        return {}
-    order = prod(factorial(len(slots)) for slots, _ in groups)
-    return {beta: order // len(orbit) * sign for beta, sign in orbit.items()}
+def reference_basis(p, rho, d):
+    """intertwining_space's basis, in order, from the permutation reference.
+
+    Each orbit is summed once, from its largest point, in the order _alphas
+    yields those points; killed orbits are dropped.
+    """
+    deltas = dict(zip((v for v, _m in nontrivial_factors(p)), rho.deltas))
+    groups = [
+        (tuple(i for i, part in enumerate(p.parts) if part == v), deltas.get(v, 0))
+        for v in sorted(set(p.parts))
+    ]
+    basis = []
+    for alpha in invverify._alphas(p.length, d // 2):
+        orbit = _signed_orbit_by_permutations(alpha, groups)
+        if orbit and alpha == max(orbit):
+            poly = {}
+            for beta, weight in orbit.items():
+                for e, val in invverify._norm_monomial(beta, p.parts).items():
+                    poly[e] = poly.get(e, 0) + weight * val
+            basis.append(poly)
+    return basis
 
 
 def first_equal_pair(p):
@@ -291,26 +305,24 @@ class TestIntertwiningSpace:
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_orbit_matches_permutation_reference(self, m):
-        # one group of multiplicity m at weights <= 4 (degrees <= 8), every
-        # alpha and both characters, so killed orbits are covered too
-        for alpha in product(range(5), repeat=m):
-            if sum(alpha) > 4:
-                continue
-            for delta in (0, 1):
-                groups = [(tuple(range(m)), delta)]
-                assert weighted_walk(alpha, groups) == _signed_orbit_by_permutations(alpha, groups)
+        # one group of multiplicity m at degrees <= 8 and every character,
+        # so killed orbits are covered too
+        p = P((2,) * m)
+        for d, deltas in product((2, 4, 6, 8), [()] if m == 1 else [(0,), (1,)]):
+            rho = SignRep(deltas)
+            assert list(intertwining_space(p, rho, d).basis) == reference_basis(p, rho, d)
 
     def test_orbit_of_several_groups_matches_reference(self):
         p = P((2, 2, 2, 3, 3, 5))
-        for d1, d2 in product((0, 1), repeat=2):
-            groups = [((0, 1, 2), d1), ((3, 4), d2), ((5,), 0)]
-            for alpha in invverify._alphas(p.length, 4):
-                assert weighted_walk(alpha, groups) == _signed_orbit_by_permutations(alpha, groups)
+        for deltas in product((0, 1), repeat=2):
+            rho = SignRep(deltas)
+            assert list(intertwining_space(p, rho, 8).basis) == reference_basis(p, rho, 8)
 
     @pytest.mark.parametrize("delta, dim", [(0, 12), (1, 0)])
     def test_each_orbit_walked_once(self, monkeypatch, delta, dim):
         # weight <= 4 over ten equal blocks: the partitions of 0..4, 12 orbits;
-        # with delta=1 every orbit is killed, and still walked only once
+        # with delta=1 every orbit is killed and none is walked, so there is
+        # one walk per basis element
         walks, real = [], invverify._signed_orbit
 
         def spy(alpha, swaps):
@@ -319,7 +331,7 @@ class TestIntertwiningSpace:
 
         monkeypatch.setattr(invverify, "_signed_orbit", spy)
         assert intertwining_space(P((2,) * 10), SignRep((delta,)), 8).dim == dim
-        assert len(walks) == 12
+        assert len(walks) == dim
 
     def test_ten_equal_blocks(self):
         # symmetric polynomials in ten block norms of weight <= 3: the
@@ -553,8 +565,8 @@ class TestExactChecks:
             verify_pair(P((4, 4)), P((2, 2, 2, 2)), 6)
 
     def test_dependent_basis_raises(self, monkeypatch):
-        real = invverify._swap_basis
-        monkeypatch.setattr(invverify, "_swap_basis", lambda *args: 2 * real(*args))
+        real = invverify._side_basis
+        monkeypatch.setattr(invverify, "_side_basis", lambda *args: 2 * real(*args))
         with pytest.raises(InternalInvariantError, match="linearly dependent"):
             verify_pair(P((4, 4)), P((2, 2, 2, 2)), 6)
 

@@ -182,11 +182,11 @@ def _int(tok, what="argument"):
         raise UsageError(f"{what} must be an integer, got {tok!r}") from None
 
 
-def _one_int(tokens, what="N"):
+def _one_int(tokens):
     _reject_leftover_flags(tokens)
     if len(tokens) != 1:
-        raise UsageError(f"expected exactly one {what}")
-    return _int(tokens[0], what)
+        raise UsageError("expected exactly one N")
+    return _int(tokens[0], "N")
 
 
 def _partition(tokens):
@@ -400,7 +400,7 @@ def _cmd_verify_lie(tokens):
         raise DomainError(f"verify-lie takes N <= {MAX_LIE_N}, got N = {p1.n}")
     c = closure(block_algebra(p1), block_algebra(p2))
     full = transitive_on(c, (0, p1.n))
-    predicted = dec.transitive_on_sphere
+    predicted = is_transitive_pair(p1, p2)
     windows = [
         {
             "start": w.start,

@@ -1,6 +1,10 @@
 """Numerical Lie-algebra oracle: closure dimensions, tangent ranks, swaps."""
 
+import os
+import subprocess
+import sys
 from itertools import combinations, combinations_with_replacement
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from borelcensus import (
     InvolutionSpec,
     NumericalError,
     Partition,
+    ProbeDisagreementError,
     block_algebra,
     closure,
     decompose,
@@ -395,6 +400,16 @@ class TestTransitivity:
         with pytest.raises(DomainError, match="must be a real \\(k, n, n\\) array"):
             transitive_on(self._closure_of(basis), (0, 2))
 
+    def test_probes_disagree_on_a_basis_that_is_not_closed(self):
+        # rotations in the planes 01 and 12, without their bracket in 02: at
+        # e_0 only the first moves the point (rank 1), at the fixed probe
+        # both do (rank 2 == dim - 1)
+        basis = np.zeros((2, 3, 3))
+        basis[0, 0, 1] = basis[1, 1, 2] = 1 / np.sqrt(2.0)
+        basis -= basis.transpose(0, 2, 1)
+        with pytest.raises(ProbeDisagreementError, match="probes disagree on window"):
+            transitive_on(self._closure_of(basis), (0, 3))
+
     @pytest.mark.parametrize("window", [(0, 2), (2, 5), (5, 8)])
     def test_spill_in_each_off_window_slab(self, window):
         # blocks {0,1}, {2,3,4}, {5,6,7}: every block is an invariant window
@@ -479,3 +494,26 @@ class TestInvolutions:
             for q in enumerate_partitions(n, 2):
                 for inv in weyl(q).involutions:
                     assert involution_normalizes(q, inv)
+
+
+def test_oracle_never_imports_numpy_random():
+    # the tangent probe is a closed-form vector; numpy.random costs about
+    # 6 MB of resident memory in a process that never draws from it
+    script = (
+        "import io, sys\n"
+        "from borelcensus import InvolutionSpec, Partition, cli, involution_normalizes\n"
+        "out = io.StringIO()\n"
+        "assert cli.run(['verify-lie', '2', '2', '4', '--', '4', '4'], stdout=out) == 0\n"
+        "assert involution_normalizes(Partition((4, 4)), InvolutionSpec(1, 2, 4))\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(lieverify.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -27,7 +27,7 @@ class IndeterminateError(NumericalError):
 
 
 class ProbeDisagreementError(NumericalError):
-    """Independent probe vectors disagreed on a transitivity rank test."""
+    """The two tangent-rank probes of a transitivity test disagreed."""
 
 
 class InternalInvariantError(RuntimeError):

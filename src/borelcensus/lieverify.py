@@ -135,9 +135,9 @@ def _unpack(rows, n, upper, lower):
 def _project_out(rows, basis):
     """Project rows twice out of span(basis); drop rows left below DEFAULT_TOL/10.
 
-    basis is a nonempty stack of orthonormal rows, and each pass is the
+    basis holds orthonormal rows, and each pass is the
     one pair of matrix products rows - (rows basis^T) basis, a single row
-    included: a rank-1 update gives the same bits and is no faster.
+    included: a separate rank-1 update gave the same bits and no gain.
     Returns the kept rows, their norms and the largest norm dropped (0.0
     if none).  A projection never lengthens a row, so a dropped row could
     never have been accepted later.

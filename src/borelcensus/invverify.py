@@ -10,8 +10,12 @@ that spaces attached to different partitions meet only in zero.
 A signed space sums each Weyl orbit of exponent vectors, walked from its
 largest point along the adjacent block swaps that generate the Weyl group.
 The blocks are disjoint, so a block-norm monomial expands block by block:
-each coordinate monomial concatenates one term of every q_j^alpha_j, with
-the product of their multinomial coefficients.
+a term is keyed by the sorted tuple of its squared variables' indices, one
+index per unit of weight, so it joins one term of each q_j^alpha_j with
+alpha_j > 0 and costs its weight, not the block count; its coefficient is
+the product of their multinomial coefficients.  The coordinate builders
+spell each key as a dense exponent tuple over the n coordinates once, at
+the end.
 
 verify_pair decides exactly, without expanding to coordinates.  The cut
 points of both partitions split [0, n) into refinement pieces; every block
@@ -22,7 +26,9 @@ so one builder serves both.  Every basis element is homogeneous, so the
 intersection splits by weight, and each weight's rank is taken modulo a
 61-bit prime: full rank there certifies full rank over Q, and a deficit is
 confirmed by elimination over the rationals before it is reported.  A
-float SVD of the same rows only reports the margins.
+float SVD of the same rows only reports the margins; it is taken per bin
+of whole connected components (rows joined by a shared monomial), since a
+block-diagonal matrix has the union of its blocks' singular values.
 """
 
 from __future__ import annotations
@@ -57,6 +63,11 @@ __all__ = [
 
 DEGREE_CAP = 8
 _PRIME = (1 << 61) - 1  # a rank mod p never exceeds the rank over Q
+# Rows per float SVD of verify_pair's margins.  On the family pairs at n = 24
+# and 28, degree 8 (2-core x86-64, one BLAS thread) bins of 64 rows took 1.0-1.1
+# s, of 256 rows 1.9-2.1 s, one SVD per weight 3.1-3.5 s; 16 rows gained under
+# a tenth.  A weight of at most 64 rows keeps its one SVD.
+_BIN_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -103,36 +114,56 @@ def _check_parts(p):
 
 
 @cache
-def _block_power(size, k):
-    """Terms of (y_1 + ... + y_size)^k as (block-local exponents, coefficient).
+def _block_power(start, size, k):
+    """Terms of (y_start + ... + y_{start+size-1})^k as (variables, coefficient).
 
-    Each y_i is the square of a variable: a coordinate of a block, or the
-    root of a refinement piece's sum of squares.
+    A term is keyed by the sorted tuple of its variable indices, one index
+    per unit of weight: y_0^2 y_3 is (0, 0, 3), with the multinomial
+    coefficient k!/prod beta_i!.  Each y_i is the square of a variable: a
+    coordinate of a block, or the root of a refinement piece's sum of
+    squares.
     """
     terms = []
-    for b in _alphas(size - 1, k):
-        beta = (*b, k - sum(b))
+    for key in combinations_with_replacement(range(start, start + size), k):
         coeff = factorial(k)
-        for v in beta:
-            coeff //= factorial(v)
-        terms.append((tuple(2 * v for v in beta), coeff))
+        for i in set(key):
+            coeff //= factorial(key.count(i))
+        terms.append((key, coeff))
     return tuple(terms)
 
 
 def _norm_monomial(alpha, sizes):
     """prod_j (sum of squares of block j's sizes[j] variables)^alpha_j, block by block.
 
-    With sizes = p.parts the variables are the coordinates, so this is
-    q^alpha in coordinates; one term per block combination.
+    Keys are the variable tuples of _block_power; only the blocks with
+    alpha_j > 0 take part, so a term costs its weight.  With sizes =
+    p.parts the variables are the coordinates, so this is q^alpha in
+    coordinates; one term per block combination.
     """
+    powers, start = [], 0
+    for size, k in zip(sizes, alpha):
+        if k:
+            powers.append(_block_power(start, size, k))
+        start += size
     poly = {}
-    for combo in product(*(_block_power(size, k) for size, k in zip(sizes, alpha))):
-        e, c = (), 1
-        for block_e, block_c in combo:
-            e += block_e
+    for combo in product(*powers):
+        key, c = (), 1
+        for block_key, block_c in combo:
+            key += block_key
             c *= block_c
-        poly[e] = c
+        poly[key] = c
     return poly
+
+
+def _dense(poly, n):
+    """poly with each variable key spelled as its exponent tuple over n coordinates."""
+    dense = {}
+    for key, c in poly.items():
+        e = [0] * n
+        for i in key:
+            e[i] += 2
+        dense[tuple(e)] = c
+    return dense
 
 
 def _alphas(r, wmax):
@@ -156,7 +187,8 @@ def invariant_space(p: Partition, d: int) -> PolySubspace:
     """
     _check_parts(p)
     _check_degree(d)
-    return PolySubspace(n=p.n, degree_cap=d, basis=tuple(_side_basis(p.parts, None, d)))
+    basis = tuple(_dense(poly, p.n) for poly in _side_basis(p.parts, None, d))
+    return PolySubspace(n=p.n, degree_cap=d, basis=basis)
 
 
 def _signed_orbit(alpha, swaps):
@@ -209,7 +241,7 @@ def intertwining_space(p: Partition, rho: SignRep, d: int) -> PolySubspace:
         for beta, sign in orbit.items():
             for e, val in _norm_monomial(beta, p.parts).items():
                 poly[e] = poly.get(e, 0) + scale * sign * val
-        basis.append(poly)
+        basis.append(_dense(poly, p.n))
     return PolySubspace(n=p.n, degree_cap=d, basis=tuple(basis))
 
 
@@ -224,7 +256,8 @@ def swap_antisymmetric_space(p: Partition, inv: InvolutionSpec, d: int) -> PolyS
     _check_parts(p)
     _check_degree(d)
     _check_swap(p, inv)
-    return PolySubspace(n=p.n, degree_cap=d, basis=tuple(_side_basis(p.parts, inv, d)))
+    basis = tuple(_dense(poly, p.n) for poly in _side_basis(p.parts, inv, d))
+    return PolySubspace(n=p.n, degree_cap=d, basis=basis)
 
 
 # Kept apart from _signed_orbit: a swap routed through the walk made verify_pair 1.3-1.6x
@@ -267,6 +300,59 @@ def _coefficient_rows(polys):
         raise NumericalError("zero polynomial in a subspace basis")
     rows /= norms[:, None]
     return rows
+
+
+def _bins(polys):
+    """The polys as bins of whole connected components, at most _BIN_ROWS rows each.
+
+    Two polys are connected when they share a monomial.  Components are
+    packed in the order of their first poly, a component larger than
+    _BIN_ROWS fills a bin alone, and each bin keeps its polys in order, so
+    at most _BIN_ROWS polys make one bin equal to the input.
+    """
+    if len(polys) <= _BIN_ROWS:
+        return [polys]
+    root = list(range(len(polys)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    owner = {}
+    for i, poly in enumerate(polys):
+        for e in poly:
+            j = owner.setdefault(e, i)
+            if j != i:
+                a, b = find(j), find(i)
+                root[max(a, b)] = min(a, b)  # a component's root is its first poly
+    components = {}
+    for i in range(len(polys)):
+        components.setdefault(find(i), []).append(i)
+    bins, current = [], []
+    for members in components.values():
+        if current and len(current) + len(members) > _BIN_ROWS:
+            bins.append(current)
+            current = []
+        current += members
+    bins.append(current)
+    return [[polys[i] for i in sorted(b)] for b in bins]
+
+
+def _binned_rank(polys):
+    """_rank of the polys' coefficient rows, from one SVD per bin of _bins.
+
+    Bins share no column, so the rows form a block-diagonal matrix whose
+    singular values are the union of its blocks'.
+    """
+    rank, kept, dropped = 0, [], [0.0]
+    for polys_bin in _bins(polys):
+        bin_rank, kept_min, dropped_max = _rank(_coefficient_rows(polys_bin))
+        rank += bin_rank
+        if bin_rank:
+            kept.append(kept_min)
+        dropped.append(dropped_max)
+    return rank, min(kept, default=0.0), max(dropped)
 
 
 def intersection_dim(s1: PolySubspace, s2: PolySubspace) -> int:
@@ -376,7 +462,7 @@ def _refined_intersection(p1, swap1, p2, swap2, d):
     by_weight = {}
     for k, basis in enumerate(sides):
         for poly in basis:
-            by_weight.setdefault(sum(next(iter(poly))), ([], []))[k].append(poly)
+            by_weight.setdefault(len(next(iter(poly))), ([], []))[k].append(poly)
     intersection, kept, dropped = 0, [], [0.0]
     for u, w in by_weight.values():
         stacked = u + w
@@ -388,7 +474,7 @@ def _refined_intersection(p1, swap1, p2, swap2, d):
                 raise InternalInvariantError("a fixed-space basis is linearly dependent")
             rank = _sparse_rank(stacked)
         intersection += len(stacked) - rank
-        float_rank, kept_min, dropped_max = _rank(_coefficient_rows(stacked))
+        float_rank, kept_min, dropped_max = _binned_rank(stacked)
         if float_rank != rank:
             raise InternalInvariantError(
                 f"float rank {float_rank} disagrees with the exact rank {rank}"

@@ -87,26 +87,20 @@ MAX_ENUMERATED = 10**6  # partitions that list and special may enumerate
 # and `table --max 1000` each take 0.3-0.4 s as a process, start included;
 # the census's O(N^2) recount is about 0.1 s of it.
 MAX_CENSUS_N = 1000
-# dim U + dim W that verify-inv may build.  The float SVD that reports the
-# margins is taken per connected block of rows, so many small parts cost
-# little: on a 2-core x86 host twenty-two parts 2 against eleven parts 4 at
-# degree 8 (dims 2046 + 297) takes 0.3 s and 33 MB as a process.  The
-# costliest shape is one block of rows, distinct parts against two equal
-# blocks that the other side never cuts: `2 3 .. 22 24 -- 138 138 --degree
-# 6` (dims 2300 + 4) takes 3.3-4.0 s and 105 MB.  Its SVD grows with the cube
-# of the dims (2604 dims 5.5 s, 2929 dims 7.6 s, 3280 dims 12.6 s in
-# verify_pair alone), so the cap stays.
+# dim U + dim W that verify-inv may build.  Twenty-two parts 2 against eleven
+# parts 4 at degree 8 (dims 2046 + 297) takes 5.6-5.8 s and 0.24 GB as a
+# process on a 2-core x86 host, nearly all in the dense float SVD that reports
+# the margins, one per weight over all of that weight's rows.
 MAX_SPACE_DIMS = 2400
 # monomials of degree <= D/2 in the R refinement pieces, C(R + D/2, D/2), that
 # verify-inv may expand into: a cap on the terms of every basis polynomial and
 # on the columns of every float matrix.  The worst shape is one block against
-# R parts 2, whose block expands to every monomial and so joins all rows of a
-# weight into one block of rows.  On a 2-core x86 host `44 -- 2^22 --degree 8`
-# (C = 14950) took 5.4-7.0 s and 386 MB, nearly all in one float SVD; over the
-# budget, `46 -- 2^23` (C = 17550) took 9.4 s and 507 MB and `104 -- 2^52
-# --degree 6` (C = 26235) 5.8 s and 545 MB in verify_pair alone.  Many pieces
-# cost little, since a term costs its weight: `342 -- 2^171 --degree 4`
-# (C = 14878) takes 0.3-0.4 s.
+# R parts 2, whose block expands to every monomial.  On a 2-core x86 host
+# `44 -- 2^22 --degree 8` (C = 14950) takes 6.5-6.9 s and 385 MB as a process,
+# nearly all in the float SVD; over the budget, `46 -- 2^23` (C = 17550) takes
+# 10.7 s and 506 MB and `104 -- 2^52 --degree 6` (C = 26235) 6.8 s and 545 MB
+# in verify_pair alone.  Many pieces cost little, since a term costs its
+# weight: `342 -- 2^171 --degree 4` (C = 14878) takes 0.5 s.
 MAX_MONOMIALS = 15000
 # N that verify-lie may close.  On one core of a 2-core x86 host the slowest
 # closure measured at N = 32 was sixteen parts 2 against 3 29, 2.2 s; at

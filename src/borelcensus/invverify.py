@@ -26,9 +26,7 @@ so one builder serves both.  Every basis element is homogeneous, so the
 intersection splits by weight, and each weight's rank is taken modulo a
 61-bit prime: full rank there certifies full rank over Q, and a deficit is
 confirmed by elimination over the rationals before it is reported.  A
-float SVD of the same rows only reports the margins; it is taken per bin
-of whole connected components (rows joined by a shared monomial), since a
-block-diagonal matrix has the union of its blocks' singular values.
+float SVD of the same rows only reports the margins.
 """
 
 from __future__ import annotations
@@ -63,11 +61,6 @@ __all__ = [
 
 DEGREE_CAP = 8
 _PRIME = (1 << 61) - 1  # a rank mod p never exceeds the rank over Q
-# Rows per float SVD of verify_pair's margins.  On the family pairs at n = 24
-# and 28, degree 8 (2-core x86-64, one BLAS thread) bins of 64 rows took 1.0-1.1
-# s, of 256 rows 1.9-2.1 s, one SVD per weight 3.1-3.5 s; 16 rows gained under
-# a tenth.  A weight of at most 64 rows keeps its one SVD.
-_BIN_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -302,59 +295,6 @@ def _coefficient_rows(polys):
     return rows
 
 
-def _bins(polys):
-    """The polys as bins of whole connected components, at most _BIN_ROWS rows each.
-
-    Two polys are connected when they share a monomial.  Components are
-    packed in the order of their first poly, a component larger than
-    _BIN_ROWS fills a bin alone, and each bin keeps its polys in order, so
-    at most _BIN_ROWS polys make one bin equal to the input.
-    """
-    if len(polys) <= _BIN_ROWS:
-        return [polys]
-    root = list(range(len(polys)))
-
-    def find(i):
-        while root[i] != i:
-            root[i] = i = root[root[i]]
-        return i
-
-    owner = {}
-    for i, poly in enumerate(polys):
-        for e in poly:
-            j = owner.setdefault(e, i)
-            if j != i:
-                a, b = find(j), find(i)
-                root[max(a, b)] = min(a, b)  # a component's root is its first poly
-    components = {}
-    for i in range(len(polys)):
-        components.setdefault(find(i), []).append(i)
-    bins, current = [], []
-    for members in components.values():
-        if current and len(current) + len(members) > _BIN_ROWS:
-            bins.append(current)
-            current = []
-        current += members
-    bins.append(current)
-    return [[polys[i] for i in sorted(b)] for b in bins]
-
-
-def _binned_rank(polys):
-    """_rank of the polys' coefficient rows, from one SVD per bin of _bins.
-
-    Bins share no column, so the rows form a block-diagonal matrix whose
-    singular values are the union of its blocks'.
-    """
-    rank, kept, dropped = 0, [], [0.0]
-    for polys_bin in _bins(polys):
-        bin_rank, kept_min, dropped_max = _rank(_coefficient_rows(polys_bin))
-        rank += bin_rank
-        if bin_rank:
-            kept.append(kept_min)
-        dropped.append(dropped_max)
-    return rank, min(kept, default=0.0), max(dropped)
-
-
 def intersection_dim(s1: PolySubspace, s2: PolySubspace) -> int:
     """dim(U and W) = dim U + dim W - rank [U; W] over the shared monomials."""
     if s1.n != s2.n or s1.degree_cap != s2.degree_cap:
@@ -474,7 +414,7 @@ def _refined_intersection(p1, swap1, p2, swap2, d):
                 raise InternalInvariantError("a fixed-space basis is linearly dependent")
             rank = _sparse_rank(stacked)
         intersection += len(stacked) - rank
-        float_rank, kept_min, dropped_max = _binned_rank(stacked)
+        float_rank, kept_min, dropped_max = _rank(_coefficient_rows(stacked))
         if float_rank != rank:
             raise InternalInvariantError(
                 f"float rank {float_rank} disagrees with the exact rank {rank}"

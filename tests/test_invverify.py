@@ -140,29 +140,6 @@ def coordinate_space(p, swap, d):
     return swap_antisymmetric_space(p, InvolutionSpec(*swap, p.parts[swap[0] - 1]), d)
 
 
-def weight_rows(p1, p2, d):
-    """verify_pair's rows in the refinement pieces, both sides stacked per weight."""
-    swaps = invverify._plan(p1, p2, d)[1]
-    cuts = invverify._cuts(p1, p2)
-    by_weight = {}
-    for p, swap in zip((p1, p2), swaps):
-        for poly in invverify._refined_basis(p, swap, d, cuts):
-            by_weight.setdefault(len(next(iter(poly))), []).append(poly)
-    return list(by_weight.values())
-
-
-def is_connected(polys):
-    """Whether the polys form one component, two joined when they share a monomial."""
-    reached, frontier = {0}, [0]
-    while frontier:
-        mons = set(polys[frontier.pop()])
-        for j, poly in enumerate(polys):
-            if j not in reached and not mons.isdisjoint(poly):
-                reached.add(j)
-                frontier.append(j)
-    return len(reached) == len(polys)
-
-
 def block_swap_map(p, a, b):
     """Coordinate permutation exchanging blocks a and b (1-based)."""
     offsets = (0, *p.prefix_sums())
@@ -522,60 +499,6 @@ class TestVerifyPair:
                 report = verify_pair(p1, p2, 6)
                 assert report.passed, (p1, p2, report)
                 assert min(report.dims) >= 1
-
-
-class TestBinnedMargins:
-    """The float margins come from one SVD per bin of whole connected components."""
-
-    PAIRS = [(P((2,) * 12), P((4,) * 6)), *combinations(family(24).members, 2)]
-
-    def test_bins_match_one_dense_svd(self):
-        split = 0
-        for p1, p2 in self.PAIRS:
-            for rows in weight_rows(p1, p2, 8):
-                split += len(invverify._bins(rows)) > 1
-                rank, kept_min, dropped_max = invverify._binned_rank(rows)
-                dense = invverify._rank(invverify._coefficient_rows(rows))
-                assert rank == dense[0], (p1, p2)
-                assert kept_min == pytest.approx(dense[1], rel=1e-12, abs=0), (p1, p2)
-                assert dropped_max == dense[2], (p1, p2)
-        assert split  # some weights do take several SVDs
-
-    def test_smallest_kept_value_over_all_bins(self):
-        # 72 rows in several bins; only the bin of the two near-parallel rows
-        # holds a singular value below 1
-        rows = [{(0, i): 1} for i in range(40)]
-        rows += [{(1, 0): 1, (1, 1): 1}, {(1, 0): 1, (1, 1): 0.9}]
-        rows += [{(2, j): 1} for j in range(30)]
-        assert len(invverify._bins(rows)) > 1
-        rank, kept_min, dropped_max = invverify._binned_rank(rows)
-        dense = invverify._rank(invverify._coefficient_rows(rows))
-        assert (rank, dropped_max) == (dense[0], dense[2]) == (72, 0.0)
-        assert kept_min == pytest.approx(dense[1], rel=1e-12, abs=0)
-        assert kept_min < 0.1
-
-    @pytest.mark.parametrize(
-        "p1,p2", [(P((2,) * 12), P((4,) * 6)), (P((24,)), P((2,) * 12))], ids=["2s-4s", "block-2s"]
-    )
-    def test_bins_hold_whole_components(self, p1, p2):
-        for rows in weight_rows(p1, p2, 8):
-            bins = invverify._bins(rows)
-            assert sorted(map(id, (poly for b in bins for poly in b))) == sorted(map(id, rows))
-            if len(rows) <= invverify._BIN_ROWS:
-                assert bins == [rows]
-            owner = {}
-            for k, b in enumerate(bins):
-                for e in (e for poly in b for e in poly):
-                    assert owner.setdefault(e, k) == k, f"monomial {e} in two bins"
-                assert len(b) <= invverify._BIN_ROWS or is_connected(b)
-
-    def test_one_component_is_one_bin(self):
-        # the block expands to every monomial of each weight, which joins its rows
-        largest = 0
-        for rows in weight_rows(P((24,)), P((2,) * 12), 8):
-            assert invverify._bins(rows) == [rows]
-            largest = max(largest, len(rows))
-        assert largest > invverify._BIN_ROWS
 
 
 @pytest.fixture

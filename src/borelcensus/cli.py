@@ -102,12 +102,13 @@ MAX_SPACE_DIMS = 2400
 # in verify_pair alone.  Many pieces cost little, since a term costs its
 # weight: `342 -- 2^171 --degree 4` (C = 14878) takes 0.5 s.
 MAX_MONOMIALS = 15000
-# N that verify-lie may close.  On one core of a 2-core x86 host the slowest
-# closure measured at N = 32 was sixteen parts 2 against 3 29, 2.2 s; at
-# N = 40 twenty parts 2 against 3 37 took 12 s.  A seed that spans so(N)
-# runs no round (16 16 -- 32 closes in 0.02 s), but two large inputs whose
-# first round falls short of so(N) bracket every unordered pair of them,
-# about N^8/4 flops on packed rows of N(N-1)/2 floats.  The closure
+# N that verify-lie may close.  On one core of a 2-core x86 host (one BLAS
+# thread) the slowest pair measured at N = 32 was sixteen parts 2 against
+# 3 29, 0.81-0.84 s as a process; at N = 40 the closure of twenty parts 2
+# against 3 37 took 3.5 s.  A seed that spans so(N) runs no round
+# (16 16 -- 32 closes in 0.02 s), but two large inputs whose first round
+# falls short of so(N) bracket every unordered pair of them, about N^8/4
+# flops on packed rows of N(N-1)/2 floats.  The closure
 # preallocates N(N-1)/2 x N(N-1)/2 floats, 0.2 GB at N = 100, and a bracket
 # round unpacks the generators G to |G| x N^2 floats, up to 0.4 GB there.
 MAX_LIE_N = 32

@@ -84,8 +84,9 @@ def _check_skew(elements):
 def _check_orthonormal(flat):
     """Refuse rows whose Gram matrix is off the identity by more than DEFAULT_TOL/10.
 
-    A seed off from orthonormal by d leaves d^2 after two projection
-    passes, so this keeps the seed's error below the ambiguity band.
+    A seed off from orthonormal by d leaves d^2 after the second projection
+    pass that a cancelling row gets, so this keeps the seed's error below
+    the ambiguity band.
     """
     worst = np.max(np.abs(flat @ flat.T - np.eye(len(flat))))
     if not worst <= DEFAULT_TOL / 10.0:
@@ -106,15 +107,20 @@ def _rank(mat):
     """Numerical rank of mat, its smallest kept and its largest dropped singular value.
 
     Singular values above DEFAULT_RANK_TOL count, those below a tenth of it
-    do not, and one in between raises IndeterminateError.
+    do not, and one in between raises IndeterminateError.  A stack of
+    matrices of one shape, (s, r, c), takes one batched SVD and gives the
+    list of their s ranks, with the margins over all of them.
     """
     if mat.size == 0:
-        return 0, 0.0, 0.0
+        return np.zeros(mat.shape[:-2], int).tolist(), 0.0, 0.0
     sv = np.linalg.svd(mat, compute_uv=False)
     _check_band(sv, DEFAULT_RANK_TOL, "singular value")
-    kept = sv[sv > DEFAULT_RANK_TOL]
+    counted = sv > DEFAULT_RANK_TOL
+    kept = sv[counted]
     dropped = sv[sv < DEFAULT_RANK_TOL / 10.0]
-    return len(kept), (float(kept.min()) if kept.size else 0.0), (
+    # an int for one matrix, a list of ints for a stack
+    ranks = counted.sum(axis=-1).tolist()
+    return ranks, (float(kept.min()) if kept.size else 0.0), (
         float(dropped.max()) if dropped.size else 0.0
     )
 
@@ -132,20 +138,37 @@ def _unpack(rows, n, upper, lower):
     return x
 
 
-def _project_out(rows, basis):
-    """Project rows twice out of span(basis); drop rows left below DEFAULT_TOL/10.
+def _norms(rows):
+    """The Euclidean norm of each row."""
+    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
 
-    basis holds orthonormal rows, and each pass is the
-    one pair of matrix products rows - (rows basis^T) basis, a single row
-    included: a separate rank-1 update gave the same bits and no gain.
-    Returns the kept rows, their norms and the largest norm dropped (0.0
-    if none).  A projection never lengthens a row, so a dropped row could
-    never have been accepted later.
+
+def _project_out(rows, norms, basis):
+    """Project rows out of span(basis); drop rows left below DEFAULT_TOL/10.
+
+    norms holds the rows' norms and basis orthonormal rows.  A pass is
+    the one pair of matrix products rows - (rows basis^T) basis, a single
+    row included: a separate rank-1 update gave the same bits and no
+    gain.  Only a row that cancels, left shorter than 1/sqrt(2) of its
+    length by the first pass, is projected a second time; by Kahan and
+    Parlett's "twice is enough" one pass leaves any other row orthogonal
+    to working precision.  Returns the kept rows, their norms and the
+    largest norm dropped (0.0 if none).  A projection never lengthens a
+    row, so a dropped row could never have been accepted later.
     """
+    rows = rows - (rows @ basis.T) @ basis
+    before, norms = norms, _norms(rows)
+    keep = norms >= DEFAULT_TOL / 10.0
     dropped = 0.0
-    for _ in range(2):
-        rows = rows - (rows @ basis.T) @ basis
-        norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    if not keep.all():
+        dropped = float(norms[~keep].max())
+        rows, norms, before = rows[keep], norms[keep], before[keep]
+    again = norms * np.sqrt(2.0) < before
+    if again.any():
+        redo = rows[again]
+        redo -= (redo @ basis.T) @ basis
+        rows[again] = redo
+        norms[again] = _norms(redo)
         keep = norms >= DEFAULT_TOL / 10.0
         if not keep.all():
             dropped = max(dropped, float(norms[~keep].max()))
@@ -162,7 +185,10 @@ def _accept(basis, m, batch):
     it while that residual exceeds DEFAULT_TOL, and all rows are
     projected out of it, which leaves the accepted row to be dropped.
     """
-    rows, norms, dropped = _project_out(batch, basis[:m])
+    # a zero row, a bracket of commuting elements, cannot be accepted
+    norms = _norms(batch)
+    nonzero = norms > 0.0
+    rows, norms, dropped = _project_out(batch[nonzero], norms[nonzero], basis[:m])
     kept = np.inf
     while len(rows):
         i = int(np.argmax(norms))
@@ -175,7 +201,7 @@ def _accept(basis, m, batch):
             )
         basis[m] = rows[i] / norms[i]
         kept = min(kept, float(norms[i]))
-        rows, norms, d = _project_out(rows, basis[m : m + 1])
+        rows, norms, d = _project_out(rows, norms, basis[m : m + 1])
         dropped = max(dropped, d)
         m += 1
     return m, kept, dropped
@@ -193,7 +219,12 @@ def closure(b1: np.ndarray, b2: np.ndarray) -> LieClosure:
     accepts the new directions; the first round forms each unordered pair
     of G once.  Rounds stop once the basis spans so(n).
     A residual inside [DEFAULT_TOL/10, DEFAULT_TOL] raises
-    IndeterminateError.
+    IndeterminateError.  An exactly zero bracket, the bracket of two
+    commuting elements, is dropped before any projection: it could not be
+    accepted, and its residual 0 moves no margin.  On block algebras in
+    their own coordinates most brackets are zero.  A bracket is projected
+    out of the basis a second time only when the first pass leaves less
+    than 1/sqrt(2) of its length (see _project_out).
 
     The kernel works in packed coordinates: a skew X is the row of
     sqrt(2) X[a, c] over a < c, n(n-1)/2 floats.  That map keeps the
@@ -222,7 +253,7 @@ def closure(b1: np.ndarray, b2: np.ndarray) -> LieClosure:
     m = len(big)  # at most full, since big is orthonormal
     basis[:m] = _pack(big, n, upper, lower)
     # a seed element joins with its norm as its residual
-    kept = float(np.sqrt(np.einsum("ij,ij->i", basis[:m], basis[:m]).min()))
+    kept = float(_norms(basis[:m]).min())
     m, k, dropped = _accept(basis, m, _pack(small, n, upper, lower))
     kept = min(kept, k)
     lo, rounds = 0, 0
@@ -273,8 +304,9 @@ def transitive_on(c: LieClosure, window) -> bool:
     is probed at the window's first standard basis vector and, as a
     cross-check, at the fixed unit vector along (1, 2, ..., hi - lo); the
     two verdicts of a basis that is not closed may differ, which raises
-    ProbeDisagreementError.  A one-coordinate window is never
-    transitive: its sphere is two points, which a connected group fixes.
+    ProbeDisagreementError; both ranks come from one batched SVD.  A
+    one-coordinate window is never transitive: its sphere is two points,
+    which a connected group fixes.
     The closure's basis must be a real (k, n, n) array, else DomainError;
     with k = 0, the zero algebra, no sphere is transitive.
     """
@@ -304,8 +336,8 @@ def transitive_on(c: LieClosure, window) -> bool:
     # one row of velocities per basis element, at the window's first
     # coordinate vector and at v; the zero algebra has none, rank 0 < dim - 1
     block = elements[:, lo:hi, lo:hi]
-    probes = (block[:, :, 0], block @ (v / np.linalg.norm(v)))
-    verdicts = [_rank(x)[0] == dim - 1 for x in probes]
+    probes = np.stack((block[:, :, 0], block @ (v / np.linalg.norm(v))))
+    verdicts = [rank == dim - 1 for rank in _rank(probes)[0]]
     if verdicts[0] != verdicts[1]:
         raise ProbeDisagreementError(
             f"tangent-rank probes disagree on window {window}: {verdicts}"
@@ -338,6 +370,7 @@ def involution_normalizes(p: Partition, inv: InvolutionSpec) -> bool:
     perm = _swap_permutation(p, inv)
     basis = block_algebra(p)
     y = basis[:, perm][:, :, perm]
-    _, norms, _ = _project_out(y.reshape(len(y), -1), basis.reshape(len(basis), -1))
+    y = y.reshape(len(y), -1)
+    _, norms, _ = _project_out(y, _norms(y), basis.reshape(len(basis), -1))
     _check_band(norms, DEFAULT_TOL, "normalizer residual")
     return not len(norms)

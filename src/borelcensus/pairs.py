@@ -102,10 +102,6 @@ class PairDecomposition:
         return sum(s.size * (s.size - 1) // 2 for s in self.segments)
 
     @property
-    def transitive_on_sphere(self):
-        return len(self.segments) == 1 and self.segments[0].size == self.n
-
-    @property
     def window_plan(self):
         """First window holding an equal-block pair on either side, with the swap.
 

@@ -118,7 +118,7 @@ class TestGeneratedGroup:
         assert g.factors == ((2, "agreement"), (6, "window"))
         assert g.lie_dimension == 16
         g2 = generated_group(P((3, 3)), P((2, 4)))
-        assert g2.factors == ((6, "window"),) and g2.transitive_on_sphere
+        assert g2.factors == ((6, "window"),) and is_transitive_pair(P((3, 3)), P((2, 4)))
         g3 = generated_group(P((2, 2)), P((2, 2)))
         assert g3.factors == ((2, "agreement"), (2, "agreement"))
 
@@ -226,7 +226,6 @@ class TestSeededDecompose:
             assert generated_group(p1, p2) == dec, (p1, p2)
             assert dec.factors == factors, (p1, p2)
             assert dec.lie_dimension == sum(s * (s - 1) // 2 for s, _ in factors)
-            assert dec.transitive_on_sphere == (common == [0, n]), (p1, p2)
             proper = [c for c in common if 0 < c < n]
             assert has_common_subpartition(p1, p2) == (min(proper) if proper else None)
             transitive = not proper

@@ -20,7 +20,7 @@ from dataclasses import astuple, dataclass
 from itertools import combinations
 
 from .errors import DomainError, InternalInvariantError
-from .partitions import Partition, partition_counts
+from .partitions import Partition, _common_n, partition_counts
 
 __all__ = [
     "InvolutionSpec",
@@ -145,8 +145,7 @@ def phi_indices(p: Partition, value: int) -> frozenset:
 
 def equivalent(p1: Partition, p2: Partition) -> bool:
     """Whether two flags are equivalent (conjugate subgroups): their canonical partitions agree."""
-    if p1.n != p2.n:
-        raise DomainError(f"partitions of different numbers: {p1.n} vs {p2.n}")
+    _common_n(p1, p2)
     return p1 == p2
 
 

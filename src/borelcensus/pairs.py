@@ -9,16 +9,24 @@ group is the full orthogonal group of the window subspace.  The pair is
 jointly transitive on the sphere exactly when the first cut is n, so that
 the whole of [0, n) is one segment (a window, or the agreement of {n}
 with itself), i.e. when the partitions share no proper common prefix sum;
-is_transitive_pair decides from that first cut alone.
+is_transitive_pair decides from that first cut alone, and cross-checks it
+against has_common_subpartition's set of common prefix sums.
+
+decompose takes an agreement (the next blocks on both sides are equal)
+without a sweep, and builds its segments and result through their slots,
+as partitions._trusted does, rather than through the frozen dataclasses'
+constructors; every window it builds still passes the same check as
+Window(...).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import DomainError, InternalInvariantError
 from .flags import InvolutionSpec, _adjacent_swaps
-from .partitions import Partition
+from .partitions import Partition, _common_n
 
 __all__ = [
     "Agreement",
@@ -61,10 +69,7 @@ class Window:
     k_first: int
 
     def __post_init__(self):
-        if sum(self.h_parts) != self.size or sum(self.k_parts) != self.size:
-            raise DomainError("window sides must both sum to the window size")
-        if self.h_parts == self.k_parts:
-            raise DomainError("a window needs differing parts on the two sides")
+        _check_window(self.size, self.h_parts, self.k_parts)
 
     def swap(self, side: int):
         """First swap of adjacent equal blocks on side 1 or 2 inside the window, or None."""
@@ -131,12 +136,54 @@ class WindowPlan:
     swap: InvolutionSpec
 
 
-def _check_pair(p1: Partition, p2: Partition) -> int:
-    """The number both partitions partition; refuses two different ones."""
-    n = p1.n
-    if n != p2.n:
-        raise DomainError(f"partitions of different numbers: {n} vs {p2.n}")
-    return n
+def _check_window(size, h_parts, k_parts):
+    """A window's two invariants, checked for Window(...) and for decompose's builder alike."""
+    if sum(h_parts) != size or sum(k_parts) != size:
+        raise DomainError("window sides must both sum to the window size")
+    if h_parts == k_parts:
+        raise DomainError("a window needs differing parts on the two sides")
+
+
+# decompose builds its results as partitions._trusted does: object.__new__,
+# then each slot's own descriptor.  The frozen classes' generated __init__
+# sets each field through object.__setattr__ by name, at about twice the
+# cost.  Every window still passes _check_window.
+_new = object.__new__
+_set_agreement = (Agreement.start.__set__, Agreement.part.__set__)
+_set_window = tuple(
+    getattr(Window, f).__set__
+    for f in ("start", "size", "h_parts", "k_parts", "h_first", "k_first")
+)
+_set_decomposition = (PairDecomposition.n.__set__, PairDecomposition.segments.__set__)
+
+
+def _agreement(start, part):
+    s = _new(Agreement)
+    set_start, set_part = _set_agreement
+    set_start(s, start)
+    set_part(s, part)
+    return s
+
+
+def _window(start, size, h_parts, k_parts, h_first, k_first):
+    _check_window(size, h_parts, k_parts)
+    w = _new(Window)
+    set_start, set_size, set_h, set_k, set_h_first, set_k_first = _set_window
+    set_start(w, start)
+    set_size(w, size)
+    set_h(w, h_parts)
+    set_k(w, k_parts)
+    set_h_first(w, h_first)
+    set_k_first(w, k_first)
+    return w
+
+
+def _decomposition(n, segments):
+    d = _new(PairDecomposition)
+    set_n, set_segments = _set_decomposition
+    set_n(d, n)
+    set_segments(d, segments)
+    return d
 
 
 def has_common_subpartition(p1: Partition, p2: Partition):
@@ -144,14 +191,14 @@ def has_common_subpartition(p1: Partition, p2: Partition):
 
     Its absence is the joint-transitivity criterion.
     """
-    _check_pair(p1, p2)
-    common = set(p1.prefix_sums()[:-1]) & set(p2.prefix_sums()[:-1])
+    _common_n(p1, p2)
+    common = set(accumulate(p1.parts[:-1])).intersection(accumulate(p2.parts[:-1]))
     return min(common) if common else None
 
 
 def _blocks(p1: Partition, p2: Partition):
     """n and both sides' parts; refuses different n, then a part of 1 on either side."""
-    n = _check_pair(p1, p2)
+    n = _common_n(p1, p2)
     a, b = p1.parts, p2.parts
     if a[0] < 2 or b[0] < 2:
         raise DomainError("every part must be >= 2 on both sides")
@@ -181,19 +228,24 @@ def decompose(p1: Partition, p2: Partition) -> PairDecomposition:
     """Alternating agreement/window decomposition (minimal windows).
 
     One segment per cut: an agreement when it took one block from each
-    side, otherwise a window.
+    side, which is exactly when the next blocks are equal, otherwise a
+    window.
     """
     n, a, b = _blocks(p1, p2)
     segments = []
     i = j = pos = 0
     while pos < n:
-        cut, i1, j1 = _cut(a, b, i, j, pos)
-        if i1 - i == 1 == j1 - j:
-            segments.append(Agreement(pos, a[i]))
+        part = a[i]
+        if part == b[j]:
+            segments.append(_agreement(pos, part))
+            i += 1
+            j += 1
+            pos += part
         else:
-            segments.append(Window(pos, cut - pos, a[i:i1], b[j:j1], i + 1, j + 1))
-        i, j, pos = i1, j1, cut
-    return PairDecomposition(n=n, segments=tuple(segments))
+            cut, i1, j1 = _cut(a, b, i, j, pos)
+            segments.append(_window(pos, cut - pos, a[i:i1], b[j:j1], i + 1, j + 1))
+            i, j, pos = i1, j1, cut
+    return _decomposition(n, tuple(segments))
 
 
 def generated_group(p1: Partition, p2: Partition) -> PairDecomposition:

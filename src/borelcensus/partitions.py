@@ -11,9 +11,11 @@ cross-check.
 
 `Partition(...)` checks and sorts whatever it is given.  The one unchecked
 path is the private `_trusted`, which wraps a tuple that is already sorted
-and made of positive ints; only `enumerate_partitions` (on the enumerator's
-own tuples) and `special.family` (on sorted doubled bases, whose invariants
-it re-checks) use it.
+and made of positive ints, setting the slot through its own descriptor;
+only `enumerate_partitions` (on the enumerator's own tuples) and
+`special.family` (on sorted doubled bases, whose invariants it re-checks)
+use it.  `pairs.decompose` builds its segments the same way, but checks
+every window it builds.
 """
 
 from __future__ import annotations
@@ -87,11 +89,24 @@ class Partition:
         return "{" + ",".join(str(v) for v in self.parts) + "}"
 
 
+# The slot's own descriptor: setting through it skips object.__setattr__'s
+# lookup of the attribute by name.
+_set_parts = Partition.parts.__set__
+
+
 def _trusted(parts):
     """A Partition of a tuple already sorted and made of positive ints, unchecked."""
     p = object.__new__(Partition)
-    object.__setattr__(p, "parts", parts)
+    _set_parts(p, parts)
     return p
+
+
+def _common_n(p1: Partition, p2: Partition) -> int:
+    """The number both partitions partition, each side summed once; refuses two different ones."""
+    n, m = sum(p1.parts), sum(p2.parts)
+    if n != m:
+        raise DomainError(f"partitions of different numbers: {n} vs {m}")
+    return n
 
 
 @dataclass(frozen=True)

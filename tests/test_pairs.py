@@ -2,7 +2,7 @@
 
 import dataclasses
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -11,11 +11,13 @@ from borelcensus import (
     DomainError,
     InternalInvariantError,
     InvolutionSpec,
+    PairDecomposition,
     Partition,
     SignRep,
     Window,
     decompose,
     enumerate_partitions,
+    equivalent,
     family,
     generated_group,
     has_common_subpartition,
@@ -40,6 +42,13 @@ class TestCommonSubpartition:
     def test_mismatched_n(self):
         with pytest.raises(DomainError):
             has_common_subpartition(P((2, 2)), P((2, 3)))
+
+    @pytest.mark.parametrize(
+        "fn", [equivalent, has_common_subpartition, decompose, is_transitive_pair]
+    )
+    def test_mismatched_n_message_is_shared(self, fn):
+        with pytest.raises(DomainError, match="partitions of different numbers: 4 vs 5"):
+            fn(P((2, 2)), P((2, 3)))
 
 
 class TestDecompose:
@@ -110,6 +119,54 @@ class TestDecompose:
                     i1 = p1.prefix_sums().index(seg.start + seg.part)
                     i2 = p2.prefix_sums().index(seg.start + seg.part)
                     assert p1.parts[i1] == p2.parts[i2] == seg.part
+
+
+def checked_segment(seg):
+    """The segment rebuilt through its public constructor, which runs every check."""
+    if isinstance(seg, Agreement):
+        return Agreement(seg.start, seg.part)
+    return Window(seg.start, seg.size, seg.h_parts, seg.k_parts, seg.h_first, seg.k_first)
+
+
+def assert_as_constructed(built, checked):
+    """An object decompose built unchecked equals its public construction in every respect."""
+    assert type(built) is type(checked)
+    assert built == checked and hash(built) == hash(checked)
+    assert repr(built) == repr(checked)
+    assert not hasattr(built, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(built, dataclasses.fields(built)[0].name, 0)
+
+
+class TestTrustedBuilders:
+    """decompose builds its segments and result through the slots; each matches its constructor."""
+
+    def test_every_pair_to_14_matches_public_constructors(self):
+        for n in range(4, 15):
+            parts = enumerate_partitions(n, 2)
+            for p1, p2 in product(parts, parts):
+                dec = decompose(p1, p2)
+                checked = tuple(checked_segment(s) for s in dec.segments)
+                for built, rebuilt in zip(dec.segments, checked, strict=True):
+                    assert_as_constructed(built, rebuilt)
+                assert_as_constructed(dec, PairDecomposition(n=n, segments=checked))
+
+    def test_window_check_runs_on_built_windows(self, monkeypatch):
+        cut = pairs._cut
+
+        def one_past(a, b, i, j, pos):
+            end, i1, j1 = cut(a, b, i, j, pos)
+            return end + 1, i1, j1
+
+        monkeypatch.setattr(pairs, "_cut", one_past)
+        with pytest.raises(DomainError, match="window sides must both sum to the window size"):
+            decompose(P((3, 3)), P((2, 4)))
+
+    def test_public_window_keeps_its_messages(self):
+        with pytest.raises(DomainError, match="window sides must both sum to the window size"):
+            Window(0, 6, (2, 4), (3, 2), 1, 1)
+        with pytest.raises(DomainError, match="a window needs differing parts on the two sides"):
+            Window(0, 6, (2, 4), (2, 4), 1, 1)
 
 
 class TestGeneratedGroup:

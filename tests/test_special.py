@@ -1,5 +1,7 @@
 """Double-partition families and the solution-series count."""
 
+import math
+
 import pytest
 
 from borelcensus import (
@@ -132,6 +134,15 @@ class TestSolutionsCount:
         assert solutions_count(16) == 5
         assert solutions_count(8) == 2
         assert solutions_count(12) == 3
+
+    def test_growth_like_exp_sqrt(self):
+        # s_N = P(M), M ~ N/4, grows like exp(pi sqrt(N/6)): log s_N / sqrt(N)
+        # climbs towards pi/sqrt(6) ~ 1.283, while log s_N / N falls
+        limit = math.pi / math.sqrt(6)
+        rates = {n: math.log(solutions_count(n)) / math.sqrt(n) for n in (400, 4000)}
+        assert 0.95 < rates[400] < 0.96
+        assert 1.14 < rates[4000] < 1.15 < limit
+        assert math.log(solutions_count(4000)) / 4000 < math.log(solutions_count(400)) / 400
 
     def test_unsupported(self):
         with pytest.raises(UnsupportedDimensionError):

@@ -13,10 +13,8 @@ is_transitive_pair decides from that first cut alone, and cross-checks it
 against has_common_subpartition's set of common prefix sums.
 
 decompose takes an agreement (the next blocks on both sides are equal)
-without a sweep, and builds its segments and result through their slots,
-as partitions._trusted does, rather than through the frozen dataclasses'
-constructors; every window it builds still passes the same check as
-Window(...).
+without a sweep, and builds every segment through its public
+constructor, so each window is checked.
 """
 
 from __future__ import annotations
@@ -69,7 +67,10 @@ class Window:
     k_first: int
 
     def __post_init__(self):
-        _check_window(self.size, self.h_parts, self.k_parts)
+        if sum(self.h_parts) != self.size or sum(self.k_parts) != self.size:
+            raise DomainError("window sides must both sum to the window size")
+        if self.h_parts == self.k_parts:
+            raise DomainError("a window needs differing parts on the two sides")
 
     def swap(self, side: int):
         """First swap of adjacent equal blocks on side 1 or 2 inside the window, or None."""
@@ -136,56 +137,6 @@ class WindowPlan:
     swap: InvolutionSpec
 
 
-def _check_window(size, h_parts, k_parts):
-    """A window's two invariants, checked for Window(...) and for decompose's builder alike."""
-    if sum(h_parts) != size or sum(k_parts) != size:
-        raise DomainError("window sides must both sum to the window size")
-    if h_parts == k_parts:
-        raise DomainError("a window needs differing parts on the two sides")
-
-
-# decompose builds its results as partitions._trusted does: object.__new__,
-# then each slot's own descriptor.  The frozen classes' generated __init__
-# sets each field through object.__setattr__ by name, at about twice the
-# cost.  Every window still passes _check_window.
-_new = object.__new__
-_set_agreement = (Agreement.start.__set__, Agreement.part.__set__)
-_set_window = tuple(
-    getattr(Window, f).__set__
-    for f in ("start", "size", "h_parts", "k_parts", "h_first", "k_first")
-)
-_set_decomposition = (PairDecomposition.n.__set__, PairDecomposition.segments.__set__)
-
-
-def _agreement(start, part):
-    s = _new(Agreement)
-    set_start, set_part = _set_agreement
-    set_start(s, start)
-    set_part(s, part)
-    return s
-
-
-def _window(start, size, h_parts, k_parts, h_first, k_first):
-    _check_window(size, h_parts, k_parts)
-    w = _new(Window)
-    set_start, set_size, set_h, set_k, set_h_first, set_k_first = _set_window
-    set_start(w, start)
-    set_size(w, size)
-    set_h(w, h_parts)
-    set_k(w, k_parts)
-    set_h_first(w, h_first)
-    set_k_first(w, k_first)
-    return w
-
-
-def _decomposition(n, segments):
-    d = _new(PairDecomposition)
-    set_n, set_segments = _set_decomposition
-    set_n(d, n)
-    set_segments(d, segments)
-    return d
-
-
 def has_common_subpartition(p1: Partition, p2: Partition):
     """Smallest proper prefix sum shared by both partitions, or None.
 
@@ -237,15 +188,15 @@ def decompose(p1: Partition, p2: Partition) -> PairDecomposition:
     while pos < n:
         part = a[i]
         if part == b[j]:
-            segments.append(_agreement(pos, part))
+            segments.append(Agreement(pos, part))
             i += 1
             j += 1
             pos += part
         else:
             cut, i1, j1 = _cut(a, b, i, j, pos)
-            segments.append(_window(pos, cut - pos, a[i:i1], b[j:j1], i + 1, j + 1))
+            segments.append(Window(pos, cut - pos, a[i:i1], b[j:j1], i + 1, j + 1))
             i, j, pos = i1, j1, cut
-    return _decomposition(n, tuple(segments))
+    return PairDecomposition(n=n, segments=tuple(segments))
 
 
 def generated_group(p1: Partition, p2: Partition) -> PairDecomposition:

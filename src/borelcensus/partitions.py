@@ -11,11 +11,9 @@ cross-check.
 
 `Partition(...)` checks and sorts whatever it is given.  The one unchecked
 path is the private `_trusted`, which wraps a tuple that is already sorted
-and made of positive ints, setting the slot through its own descriptor;
-only `enumerate_partitions` (on the enumerator's own tuples) and
-`special.family` (on sorted doubled bases, whose invariants it re-checks)
-use it.  `pairs.decompose` builds its segments the same way, but checks
-every window it builds.
+and made of positive ints; only `enumerate_partitions` (on the enumerator's
+own tuples) and `special.family` (on sorted doubled bases, whose invariants
+it re-checks) use it.
 """
 
 from __future__ import annotations
@@ -89,15 +87,10 @@ class Partition:
         return "{" + ",".join(str(v) for v in self.parts) + "}"
 
 
-# The slot's own descriptor: setting through it skips object.__setattr__'s
-# lookup of the attribute by name.
-_set_parts = Partition.parts.__set__
-
-
 def _trusted(parts):
     """A Partition of a tuple already sorted and made of positive ints, unchecked."""
     p = object.__new__(Partition)
-    _set_parts(p, parts)
+    object.__setattr__(p, "parts", parts)
     return p
 
 

@@ -2,7 +2,7 @@
 
 import dataclasses
 import random
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 
@@ -11,7 +11,6 @@ from borelcensus import (
     DomainError,
     InternalInvariantError,
     InvolutionSpec,
-    PairDecomposition,
     Partition,
     SignRep,
     Window,
@@ -40,15 +39,10 @@ class TestCommonSubpartition:
         assert has_common_subpartition(P((6,)), P((6,))) is None
 
     def test_mismatched_n(self):
-        with pytest.raises(DomainError):
-            has_common_subpartition(P((2, 2)), P((2, 3)))
-
-    @pytest.mark.parametrize(
-        "fn", [equivalent, has_common_subpartition, decompose, is_transitive_pair]
-    )
-    def test_mismatched_n_message_is_shared(self, fn):
-        with pytest.raises(DomainError, match="partitions of different numbers: 4 vs 5"):
-            fn(P((2, 2)), P((2, 3)))
+        # one message, from the one shared check
+        for fn in (equivalent, has_common_subpartition, decompose, is_transitive_pair):
+            with pytest.raises(DomainError, match="partitions of different numbers: 4 vs 5"):
+                fn(P((2, 2)), P((2, 3)))
 
 
 class TestDecompose:
@@ -121,37 +115,10 @@ class TestDecompose:
                     assert p1.parts[i1] == p2.parts[i2] == seg.part
 
 
-def checked_segment(seg):
-    """The segment rebuilt through its public constructor, which runs every check."""
-    if isinstance(seg, Agreement):
-        return Agreement(seg.start, seg.part)
-    return Window(seg.start, seg.size, seg.h_parts, seg.k_parts, seg.h_first, seg.k_first)
+class TestWindowCheck:
+    """Every window decompose returns passes Window's checks, with their messages."""
 
-
-def assert_as_constructed(built, checked):
-    """An object decompose built unchecked equals its public construction in every respect."""
-    assert type(built) is type(checked)
-    assert built == checked and hash(built) == hash(checked)
-    assert repr(built) == repr(checked)
-    assert not hasattr(built, "__dict__")
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        setattr(built, dataclasses.fields(built)[0].name, 0)
-
-
-class TestTrustedBuilders:
-    """decompose builds its segments and result through the slots; each matches its constructor."""
-
-    def test_every_pair_to_14_matches_public_constructors(self):
-        for n in range(4, 15):
-            parts = enumerate_partitions(n, 2)
-            for p1, p2 in product(parts, parts):
-                dec = decompose(p1, p2)
-                checked = tuple(checked_segment(s) for s in dec.segments)
-                for built, rebuilt in zip(dec.segments, checked, strict=True):
-                    assert_as_constructed(built, rebuilt)
-                assert_as_constructed(dec, PairDecomposition(n=n, segments=checked))
-
-    def test_window_check_runs_on_built_windows(self, monkeypatch):
+    def test_window_check_runs_in_decompose(self, monkeypatch):
         cut = pairs._cut
 
         def one_past(a, b, i, j, pos):

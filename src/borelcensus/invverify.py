@@ -54,7 +54,6 @@ __all__ = [
     "intertwining_space",
     "swap_antisymmetric_space",
     "intersection_dim",
-    "invariant_dim_by_derivations",
     "pair_space_dims",
     "verify_pair",
 ]
@@ -244,7 +243,8 @@ def swap_antisymmetric_space(p: Partition, inv: InvolutionSpec, d: int) -> PolyS
     This is the fixed-point space of the group generated by the block
     subgroup and the single transposition, with the transposition acting
     by -1; it is what the independence argument needs when the swapped
-    blocks sit inside a window.
+    blocks sit inside a window.  Kept as the coordinate reference that the
+    tests hold verify_pair's carrier side against.
     """
     _check_parts(p)
     _check_degree(d)
@@ -310,44 +310,6 @@ def intersection_dim(s1: PolySubspace, s2: PolySubspace) -> int:
         if rank != space.dim:
             raise NumericalError(f"subspace basis is rank-deficient: {rank} < {space.dim}")
     return s1.dim + s2.dim - _rank(r)[0]
-
-
-def invariant_dim_by_derivations(p: Partition, d: int) -> int:
-    """Slow oracle: dimension of the joint kernel of all in-block rotations.
-
-    Assembles the infinitesimal rotation operators x_a d/dx_b - x_b d/dx_a
-    for every coordinate pair inside a block, acting on all monomials of
-    degree <= d, and counts the nullspace.  Independent of the block-norm
-    construction; intended for desk-scale cross-checks only.
-    """
-    _check_parts(p)
-    _check_degree(d)
-    mons = tuple(_alphas(p.n, d))
-    index = {e: i for i, e in enumerate(mons)}
-
-    pairs_in_blocks = []
-    offset = 0
-    for size in p.parts:
-        for a in range(offset, offset + size):
-            for b in range(a + 1, offset + size):
-                pairs_in_blocks.append((a, b))
-        offset += size
-
-    ops = np.zeros((len(pairs_in_blocks) * len(mons), len(mons)))
-    for k, (a, b) in enumerate(pairs_in_blocks):
-        base = k * len(mons)
-        for col, e in enumerate(mons):
-            if e[b] > 0:
-                target = list(e)
-                target[b] -= 1
-                target[a] += 1
-                ops[base + index[tuple(target)], col] += e[b]
-            if e[a] > 0:
-                target = list(e)
-                target[a] -= 1
-                target[b] += 1
-                ops[base + index[tuple(target)], col] -= e[a]
-    return len(mons) - _rank(ops)[0]
 
 
 def _sparse_rank(rows, prime=None):

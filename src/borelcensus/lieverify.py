@@ -26,7 +26,6 @@ __all__ = [
     "closure",
     "transitive_on",
     "involution_normalizes",
-    "swap_matrix",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -355,17 +354,13 @@ def _swap_permutation(p, inv):
     return perm
 
 
-def swap_matrix(p: Partition, inv: InvolutionSpec) -> np.ndarray:
-    """Permutation matrix exchanging the two blocks coordinate-by-coordinate."""
-    return np.eye(p.n)[_swap_permutation(p, inv)]
-
-
 def involution_normalizes(p: Partition, inv: InvolutionSpec) -> bool:
     """Check T X T^-1 stays in the block algebra's span for every basis X.
 
     Each T X T^-1 is projected out of the span as closure projects its
     brackets.  A residual inside [DEFAULT_TOL/10, DEFAULT_TOL] raises
-    IndeterminateError.
+    IndeterminateError.  Kept as the numerical check of the paper's fact
+    that a swap of equal blocks normalizes the block group.
     """
     perm = _swap_permutation(p, inv)
     basis = block_algebra(p)

@@ -200,7 +200,10 @@ def decompose(p1: Partition, p2: Partition) -> PairDecomposition:
 
 
 def generated_group(p1: Partition, p2: Partition) -> PairDecomposition:
-    """The generated group, which is the decomposition: agreements survive, windows fuse."""
+    """The generated group, which is the decomposition: agreements survive, windows fuse.
+
+    Kept only because the benchmark's workloads call it; new code calls decompose.
+    """
     return decompose(p1, p2)
 
 

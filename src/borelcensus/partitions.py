@@ -31,10 +31,8 @@ __all__ = [
     "PartitionCounts",
     "count_p",
     "count_q",
-    "count_r",
     "count_p_ge2",
     "count_q_ge2",
-    "count_r_ge2",
     "partition_counts",
     "enumerate_partitions",
     "asymptotic_p",
@@ -104,7 +102,12 @@ def _common_n(p1: Partition, p2: Partition) -> int:
 
 @dataclass(frozen=True)
 class PartitionCounts:
-    """The six census counts for one n, all exact."""
+    """The six census counts for one n, all exact.
+
+    r = p - q and r_ge2 = p_ge2 - q_ge2 count the partitions with at least
+    one repeated part, which are exactly the flag classes with a nontrivial
+    Weyl group.
+    """
 
     n: int
     p: int
@@ -188,14 +191,6 @@ def count_q(n: int) -> int:
     return _q_upto(n)[n]
 
 
-def count_r(n: int) -> int:
-    """Partitions of n with at least one repeated part: P(n) - Q(n).
-
-    These are exactly the flag classes with a nontrivial Weyl group.
-    """
-    return count_p(n) - count_q(n)
-
-
 def count_p_ge2(n: int) -> int:
     """Partitions of n with every part >= 2, via P(n) - P(n-1)."""
     _check_ge2(n)
@@ -213,11 +208,6 @@ def count_q_ge2(n: int) -> int:
     _check_ge2(n)
     q = _q_upto(n)
     return sum(q[n:1:-2]) - sum(q[n - 1 : 1 : -2])
-
-
-def count_r_ge2(n: int) -> int:
-    """P(n;1) - Q(n;1)."""
-    return count_p_ge2(n) - count_q_ge2(n)
 
 
 def partition_counts(n: int) -> PartitionCounts:
@@ -263,13 +253,27 @@ def enumerate_partitions(n: int, min_part: int = 1, distinct: bool = False) -> l
     return [_trusted(t) for t in _tuples(n, min_part, distinct)]
 
 
+def _leading_term(n, exponent, denominator):
+    """exp(exponent) / denominator, refusing the n whose exponential overflows a float."""
+    try:
+        return math.exp(exponent) / denominator
+    except OverflowError:
+        raise DomainError(f"the leading term at n={n} does not fit a float") from None
+
+
 def asymptotic_p(n: int) -> float:
-    """Hardy-Littlewood leading term for P(n): exp(pi*sqrt(2n/3)) / (4n*sqrt(3))."""
+    """Hardy-Littlewood leading term for P(n): exp(pi*sqrt(2n/3)) / (4n*sqrt(3)).
+
+    Kept as the growth scale that README states and the tests hold count_p against.
+    """
     _check_positive(n)
-    return math.exp(math.pi * math.sqrt(2.0 * n / 3.0)) / (4.0 * n * math.sqrt(3.0))
+    return _leading_term(n, math.pi * math.sqrt(2.0 * n / 3.0), 4.0 * n * math.sqrt(3.0))
 
 
 def asymptotic_q(n: int) -> float:
-    """Hardy-Littlewood leading term for Q(n): exp(pi*sqrt(n/3)) / (4 n^(3/4) 3^(1/4))."""
+    """Hardy-Littlewood leading term for Q(n): exp(pi*sqrt(n/3)) / (4 n^(3/4) 3^(1/4)).
+
+    Kept as the growth scale that README states and the tests hold count_q against.
+    """
     _check_positive(n)
-    return math.exp(math.pi * math.sqrt(n / 3.0)) / (4.0 * n ** 0.75 * 3.0 ** 0.25)
+    return _leading_term(n, math.pi * math.sqrt(n / 3.0), 4.0 * n ** 0.75 * 3.0 ** 0.25)

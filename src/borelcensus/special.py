@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError, UnsupportedDimensionError
-from .partitions import Partition, _trusted, _tuples, count_p
+from .partitions import _trusted, _tuples, count_p
 
-__all__ = ["SpecialFamily", "applicable_case", "double_partition", "family", "solutions_count"]
+__all__ = ["SpecialFamily", "applicable_case", "family", "solutions_count"]
 
 _CASES = {"mod0": 0, "mod2": 2, "mod3": 3, "mod5": 5}
 
@@ -53,20 +53,6 @@ def _doubled(parts, case):
     if _CASES[case]:
         doubled.append(_CASES[case])
     return tuple(doubled)
-
-
-def double_partition(base: Partition, n: int) -> Partition:
-    """Double a partition of M into the family member for dimension n.
-
-    Every base part M_i becomes the equal pair 2M_i, 2M_i; depending on the
-    residue a part 2, 3 or 5 is added.
-    """
-    case, m = applicable_case(n)
-    if base.n != m:
-        raise UnsupportedDimensionError(
-            f"n={n} needs a base partition of {m}, got one of {base.n}"
-        )
-    return Partition(_doubled(base.parts, case))
 
 
 def family(n: int) -> SpecialFamily:

@@ -109,16 +109,16 @@ class TestCensus:
         assert (c1.total_ge2, c1.trivial_weyl_ge2, c1.nontrivial_weyl_ge2) == (0, 0, 0)
 
     def test_columns_are_the_count_functions(self):
-        from borelcensus import count_p_ge2, count_q, count_q_ge2, count_r, count_r_ge2
+        from borelcensus import count_p_ge2, count_q, count_q_ge2, partition_counts
 
         for n in range(2, 13):
             c = class_census(n)
             assert c.total == count_p(n)
             assert c.trivial_weyl == count_q(n)
-            assert c.nontrivial_weyl == count_r(n)
+            assert c.nontrivial_weyl == partition_counts(n).r
             assert c.total_ge2 == count_p_ge2(n)
             assert c.trivial_weyl_ge2 == count_q_ge2(n)
-            assert c.nontrivial_weyl_ge2 == count_r_ge2(n)
+            assert c.nontrivial_weyl_ge2 == partition_counts(n).r_ge2
 
     @pytest.mark.parametrize("field", ["p", "q", "r", "p_ge2", "q_ge2", "r_ge2"])
     def test_recount_mismatch_raises(self, monkeypatch, field):

@@ -20,7 +20,6 @@ from borelcensus import (
     family,
     intersection_dim,
     intertwining_space,
-    invariant_dim_by_derivations,
     invariant_space,
     nontrivial_factors,
     pair_space_dims,
@@ -30,6 +29,7 @@ from borelcensus import (
 from borelcensus import invverify
 from borelcensus.invverify import PolySubspace
 from borelcensus.lieverify import DEFAULT_RANK_TOL
+from derivation_oracle import invariant_dim_by_derivations
 
 P = Partition
 RNG = np.random.default_rng(24)

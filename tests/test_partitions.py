@@ -1,6 +1,7 @@
 """Counting and enumeration, cross-validated by independent oracles."""
 
 import dataclasses
+import math
 import random
 from concurrent.futures import ThreadPoolExecutor
 from itertools import pairwise
@@ -16,8 +17,6 @@ from borelcensus import (
     count_p_ge2,
     count_q,
     count_q_ge2,
-    count_r,
-    count_r_ge2,
     enumerate_partitions,
     family,
     partition_counts,
@@ -133,7 +132,7 @@ class TestCounts:
         assert count_q(1) == 1
 
     def test_r_sequence(self):
-        assert [count_r(n) for n in range(1, 11)] == [0, 1, 1, 3, 4, 7, 10, 16, 22, 32]
+        assert [partition_counts(n).r for n in range(1, 11)] == [0, 1, 1, 3, 4, 7, 10, 16, 22, 32]
 
     def test_ge2_examples(self):
         assert count_p_ge2(10) == 12
@@ -143,13 +142,13 @@ class TestCounts:
         # the recurrence values at 7 and 8, where the published table misprints
         assert count_q_ge2(7) == 3
         assert count_q_ge2(8) == 3
-        assert count_r_ge2(4) == 1
-        assert count_r_ge2(10) == 7
-        assert count_r_ge2(8) == 4
+        assert partition_counts(4).r_ge2 == 1
+        assert partition_counts(10).r_ge2 == 7
+        assert partition_counts(8).r_ge2 == 4
 
     @pytest.mark.parametrize(
         "fn,bad",
-        [(count_p, 0), (count_q, 0), (count_p_ge2, 1), (count_q_ge2, 1), (count_r_ge2, 0)],
+        [(count_p, 0), (count_q, 0), (count_p_ge2, 1), (count_q_ge2, 1), (partition_counts, 0)],
     )
     def test_domain_errors(self, fn, bad):
         with pytest.raises(DomainError):
@@ -176,7 +175,7 @@ class TestCounts:
 
     def test_published_table_p_q_r_columns(self):
         for n, (p, q, r, _p1, _q1, _r1) in PUBLISHED_TABLE.items():
-            assert (count_p(n), count_q(n), count_r(n)) == (p, q, r)
+            assert (count_p(n), count_q(n), partition_counts(n).r) == (p, q, r)
 
     def test_published_p_list_except_n3(self):
         for n, printed in PUBLISHED_P_LIST.items():
@@ -237,7 +236,7 @@ class TestEnumeration:
             repeated = sum(
                 1 for p in enumerate_partitions(n) if len(set(p.parts)) < p.length
             )
-            assert repeated == count_r(n)
+            assert repeated == partition_counts(n).r
 
     @pytest.mark.parametrize("distinct", [False, True])
     @pytest.mark.parametrize("floor", [1, 2, 3, 4])
@@ -267,9 +266,14 @@ class TestAsymptotics:
     def test_q_ratio_reasonable(self):
         assert 0.8 <= count_q(200) / asymptotic_q(200) <= 1.2
 
-    def test_domain(self):
+    @pytest.mark.parametrize("fn,last", [(asymptotic_p, 76567), (asymptotic_q, 153134)])
+    def test_domain(self, fn, last):
+        # last is the largest n whose leading term fits a float
+        assert math.isfinite(fn(last))
         with pytest.raises(DomainError):
-            asymptotic_p(0)
+            fn(0)
+        with pytest.raises(DomainError, match=f"n={last + 1} does not fit a float"):
+            fn(last + 1)
 
 
 def test_concurrent_counting_is_consistent():

